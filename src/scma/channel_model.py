@@ -53,8 +53,8 @@ class NoiseModel:
     snr_convention: str
 
     def __post_init__(self) -> None:
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
+        if not (np.isfinite(self.variance) and self.variance > 0):
+            raise ValueError("variance must be positive and finite")
         if self.snr_convention not in SNR_CONVENTIONS:
             raise ValueError(f"unknown convention {self.snr_convention!r}")
 
@@ -94,8 +94,8 @@ def sample_noise(
     size: int | None = None,
 ) -> np.ndarray:
     """Circular complex noise with the given total variance per resource."""
-    if variance <= 0:
-        raise ValueError("variance must be positive")
+    if not (np.isfinite(variance) and variance > 0):
+        raise ValueError("variance must be positive and finite")
     shape = (n_resources,) if size is None else (size, n_resources)
     return _cn01(rng, shape) * np.sqrt(variance)
 

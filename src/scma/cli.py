@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .codebook import SCHEMES, build_named_system
@@ -29,6 +30,8 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("expected a:b:step")
         a, b, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (a, b, step)):
+            raise argparse.ArgumentTypeError("a, b and step must be finite")
         if step <= 0:
             raise argparse.ArgumentTypeError("step must be positive")
         grid = []

@@ -97,6 +97,24 @@ def _edges(system: ScmaSystem):
     return edges, res_edges, lay_edges
 
 
+def _edge_tables(
+    system: ScmaSystem, gains: np.ndarray, tables: ProjectionTables | None
+):
+    """Edge lists plus the (T, A_e) value table and symbol-to-value index
+    (None without `tables`) of every edge, channel folded in; gains is (T, J, K).
+    """
+    edges, res_edges, lay_edges = _edges(system)
+    edge_values, edge_index = [], []
+    for k, j in edges:
+        if tables is None:
+            vals, idx = system.codebooks[j].codewords[:, k], None
+        else:
+            vals, idx = tables.tables[(k, j)]
+        edge_values.append(gains[:, j, k][:, None] * vals[None, :])
+        edge_index.append(idx)
+    return edges, res_edges, lay_edges, edge_values, edge_index
+
+
 def _normalise(msg: np.ndarray) -> np.ndarray:
     """Row-normalise; all-zero rows (total underflow) fall back to uniform."""
     total = msg.sum(axis=1, keepdims=True)
@@ -106,11 +124,37 @@ def _normalise(msg: np.ndarray) -> np.ndarray:
     return out
 
 
+def _resource_tables(y, edge_values, res_edges, noise_var):
+    """Per resource, exp(-(|y_k - s|^2 - min_s |y_k - s|^2) / noise_var) over
+    every sum s of its edges' values, one axis per edge after the trial axis;
+    None for a resource with no edges. It depends only on y and the channel.
+    """
+    t_count = y.shape[0]
+    tables = []
+    for k, es in enumerate(res_edges):
+        d = len(es)
+        if d == 0:
+            tables.append(None)
+            continue
+        s = np.zeros((t_count,) + (1,) * d, dtype=np.complex128)
+        for i, e in enumerate(es):
+            shape = (t_count,) + (1,) * i + (-1,) + (1,) * (d - 1 - i)
+            s = s + edge_values[e].reshape(shape)
+        energy = np.abs(y[:, k].reshape((t_count,) + (1,) * d) - s) ** 2
+        energy -= energy.min(axis=tuple(range(1, d + 1)), keepdims=True)
+        tables.append(np.exp(-energy / noise_var))
+    return tables
+
+
+# einsum subscripts for the hypothesis axes of a resource table; "t" is the
+# trial axis
+_AXES = "abcdefghijklmnopqrsuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
 def _run_mpa(
     y: np.ndarray,
     edge_values: list[np.ndarray],
     edge_index: list[np.ndarray | None],
-    edges,
     res_edges,
     lay_edges,
     alphabet: int,
@@ -124,17 +168,22 @@ def _run_mpa(
     in. When edge_index[e] is not None the edge works on A_e merged
     projections and index maps each of the `alphabet` symbols onto its
     projection; messages still live on the full alphabet.
+
+    Each resource-to-layer message contracts the resource's likelihood
+    table with the outer product of the other incoming messages, which has
+    at most prod(A_e) / A_e entries per trial.
     """
     t_count = y.shape[0]
-    n_edges = len(edges)
+    n_edges = len(edge_values)
     uniform = np.full((t_count, alphabet), 1.0 / alphabet)
     l2r = [uniform.copy() for _ in range(n_edges)]
     r2l = [uniform.copy() for _ in range(n_edges)]
+    tables = _resource_tables(y, edge_values, res_edges, noise_var)
 
     for _ in range(max_iter):
         for k, es in enumerate(res_edges):
-            d = len(es)
-            if d == 0:
+            gauss = tables[k]
+            if gauss is None:
                 continue
             incoming = []
             for e in es:
@@ -145,21 +194,19 @@ def _run_mpa(
                     agg = np.zeros((t_count, edge_values[e].shape[1]))
                     np.add.at(agg.T, idx, l2r[e].T)
                     incoming.append(agg)
-            shape = lambda i, a: (t_count,) + (1,) * i + (a,) + (1,) * (d - 1 - i)
-            s = np.zeros((t_count,) + (1,) * d, dtype=np.complex128)
+            axes = _AXES[: len(es)]
             for i, e in enumerate(es):
-                s = s + edge_values[e].reshape(shape(i, edge_values[e].shape[1]))
-            energy = np.abs(y[:, k].reshape((t_count,) + (1,) * d) - s) ** 2
-            energy -= energy.min(axis=tuple(range(1, d + 1)), keepdims=True)
-            gauss = np.exp(-energy / noise_var)
-            for i, e in enumerate(es):
-                w = gauss
-                for i2, e2 in enumerate(es):
-                    if i2 == i:
-                        continue
-                    w = w * incoming[i2].reshape(shape(i2, incoming[i2].shape[1]))
-                axes = tuple(a for a in range(1, d + 1) if a != i + 1)
-                out = w.sum(axis=axes) if axes else w
+                others = [i2 for i2 in range(len(es)) if i2 != i]
+                if others:
+                    w = incoming[others[0]]
+                    for i2 in others[1:]:
+                        w = w[..., None] * incoming[i2].reshape(
+                            (t_count,) + (1,) * (w.ndim - 1) + (-1,)
+                        )
+                    sub = "".join(axes[i2] for i2 in others)
+                    out = np.einsum(f"t{axes},t{sub}->t{axes[i]}", gauss, w)
+                else:
+                    out = gauss
                 idx = edge_index[e]
                 if idx is not None:
                     out = out[:, idx]
@@ -178,7 +225,7 @@ def _run_mpa(
     for j, es in enumerate(lay_edges):
         for e in es:
             marginals[:, j, :] *= r2l[e]
-    marginals = marginals / marginals.sum(axis=2, keepdims=True)
+    marginals = _normalise(marginals.reshape(-1, alphabet)).reshape(marginals.shape)
     return marginals, l2r, r2l
 
 
@@ -199,20 +246,11 @@ def batch_mpa(
     _check_detect_args(noise_var, max_iter, damping)
     y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
     gains = np.asarray(gains, dtype=np.complex128)
-    edges, res_edges, lay_edges = _edges(system)
-    edge_values: list[np.ndarray] = []
-    edge_index: list[np.ndarray | None] = []
-    for k, j in edges:
-        col = system.codebooks[j].codewords[:, k]
-        if tables is None:
-            edge_values.append(gains[:, j, k][:, None] * col[None, :])
-            edge_index.append(None)
-        else:
-            vals, idx = tables.tables[(k, j)]
-            edge_values.append(gains[:, j, k][:, None] * vals[None, :])
-            edge_index.append(idx)
+    _, res_edges, lay_edges, edge_values, edge_index = _edge_tables(
+        system, gains, tables
+    )
     marginals, _, _ = _run_mpa(
-        y, edge_values, edge_index, edges, res_edges, lay_edges,
+        y, edge_values, edge_index, res_edges, lay_edges,
         system.alphabet_size, noise_var, max_iter, damping,
     )
     return marginals
@@ -303,7 +341,7 @@ def batch_split(
             y_part.astype(np.complex128),
             [v.astype(np.complex128) for v in vals],
             [None] * len(edges),
-            edges, res_edges, lay_edges,
+            res_edges, lay_edges,
             alphabet, noise_var, max_iter, 0.0,
         )
         return marg
@@ -358,20 +396,11 @@ def mpa_detect(
     """
     _check_detect_args(noise_var, max_iter, damping)
     y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
-    gains = channel.gains[None]
-    edges, res_edges, lay_edges = _edges(system)
-    edge_values, edge_index = [], []
-    for k, j in edges:
-        col = system.codebooks[j].codewords[:, k]
-        if tables is None:
-            edge_values.append(gains[:, j, k][:, None] * col[None, :])
-            edge_index.append(None)
-        else:
-            vals, idx = tables.tables[(k, j)]
-            edge_values.append(gains[:, j, k][:, None] * vals[None, :])
-            edge_index.append(idx)
+    edges, res_edges, lay_edges, edge_values, edge_index = _edge_tables(
+        system, channel.gains[None], tables
+    )
     marginals, l2r, r2l = _run_mpa(
-        y, edge_values, edge_index, edges, res_edges, lay_edges,
+        y, edge_values, edge_index, res_edges, lay_edges,
         system.alphabet_size, noise_var, max_iter, damping,
     )
     result = _result(system, marginals[0], max_iter)

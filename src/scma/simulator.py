@@ -80,6 +80,8 @@ class SimConfig:
             raise ValueError(f"engine must be one of {ENGINES}")
         if len(self.snr_grid_db) == 0:
             raise ValueError("snr grid must be nonempty")
+        if not all(math.isfinite(v) for v in self.snr_grid_db):
+            raise ValueError("snr grid values must be finite")
         if self.min_errors < 1:
             raise ValueError("min_errors must be at least 1")
         if self.max_trials < self.min_errors:

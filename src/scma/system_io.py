@@ -17,11 +17,17 @@ from .constellation import MotherConstellation
 from .factor_graph import FactorGraph, mapping_matrix
 
 __all__ = [
+    "SYSTEM_KEYS",
     "system_to_dict",
     "system_from_dict",
     "save_system",
     "load_system",
 ]
+
+SYSTEM_KEYS = (
+    "K", "N", "J", "M",
+    "factor_graph", "mother_constellation", "operators", "codebooks",
+)
 
 
 def _complex_out(a: np.ndarray) -> list:
@@ -56,7 +62,22 @@ def system_to_dict(system: ScmaSystem) -> dict:
     }
 
 
+def _require(data, keys: tuple[str, ...], where: str) -> None:
+    """Reject a non-object or an object that lacks one of `keys`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{where} lacks the required key {key!r}")
+
+
 def system_from_dict(data: dict) -> ScmaSystem:
+    _require(data, SYSTEM_KEYS, "system")
+    _require(
+        data["mother_constellation"], ("points", "labels"), "mother_constellation"
+    )
+    for op in data["operators"]:
+        _require(op, ("phases", "power_scale"), "operator")
     graph = FactorGraph(
         np.asarray(data["factor_graph"], dtype=np.uint8), n_active=int(data["N"])
     )

@@ -140,6 +140,11 @@ def test_noise_model_validation():
         NoiseModel(variance=0.0, snr_convention="per_layer")
     with pytest.raises(ValueError):
         NoiseModel(variance=1.0, snr_convention="nope")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            NoiseModel(variance=bad, snr_convention="per_layer")
+        with pytest.raises(ValueError):
+            sample_noise(bad, 4, np.random.default_rng(0))
 
 
 def test_channel_realization_validation():

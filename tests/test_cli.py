@@ -23,6 +23,10 @@ def test_parse_snr_grid_rejects_garbage():
         parse_snr_grid("4:8")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_snr_grid("4:8:0")
+    # an infinite bound would otherwise never end the range loop
+    for text in ("0:inf:1", "nan:8:1", "4:8:nan", "-inf:8:1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_snr_grid(text)
 
 
 def test_design_writes_valid_json(tmp_path):
@@ -87,6 +91,32 @@ def test_simulate_precondition_error_is_clean(tmp_path, capsys):
                  "--engine", "split", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "split" in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_finite_snr(tmp_path, capsys):
+    sysfile = tmp_path / "sys.json"
+    main(["design", "--scheme", "4pt", "--out", str(sysfile)])
+    capsys.readouterr()
+    for snr in ("nan", "8,inf"):
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--system", str(sysfile), "--snr", snr,
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: snr grid values must be finite"]
+        assert not out.exists()
+
+
+def test_analyze_missing_key_is_clean(tmp_path, capsys):
+    sysfile = tmp_path / "sys.json"
+    main(["design", "--scheme", "4pt", "--out", str(sysfile)])
+    data = json.loads(sysfile.read_text())
+    del data["J"]
+    sysfile.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["analyze", str(sysfile)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: system lacks the required key 'J'"]
 
 
 def test_compare_power_variation_cli(tmp_path):

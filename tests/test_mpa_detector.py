@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from scma.channel_model import ChannelRealization, sample_gains, sample_noise
+from scma.channel_model import (
+    ChannelRealization,
+    sample_gains,
+    sample_noise,
+    snr_to_noise_variance,
+)
 from scma.codebook import LayerOperator, ScmaSystem, build_codebook, build_named_system
 from scma.constellation import t16qam
 from scma.factor_graph import build_full_graph, mapping_matrix
@@ -55,6 +60,88 @@ def identity_phase_system(n_layers=6):
     return ScmaSystem(graph=graph, mother=mother, operators=ops, codebooks=cbs)
 
 
+def random_batch(system, snr_db, rng, mode, size):
+    """(y, gains, noise_var) for `size` independent trials."""
+    tx = rng.integers(0, system.alphabet_size, (size, system.n_layers))
+    cw = np.stack(
+        [system.codebooks[j].codewords[tx[:, j]] for j in range(system.n_layers)],
+        axis=1,
+    )
+    gains = sample_gains(mode, system.n_layers, system.n_resources, rng, size=size)
+    nv = snr_to_noise_variance(snr_db, system, "per_layer").variance
+    y = (gains * cw).sum(axis=1) + sample_noise(nv, system.n_resources, rng, size=size)
+    return y, gains, nv
+
+
+def reference_mpa(y, gains, system, nv, max_iter, damping=0.0, tables=None):
+    """Flooding sum-product that rebuilds every resource's likelihood table
+    on each iteration and marginalises by multiplying the whole table with
+    each other incoming message, then summing; returns (T, J, M)."""
+    t_count, m = y.shape[0], system.alphabet_size
+    edges = [
+        (k, j) for k in range(system.n_resources) for j in system.graph.layers_at(k)
+    ]
+    vals, index = [], []
+    for k, j in edges:
+        if tables is None:
+            v, idx = system.codebooks[j].codewords[:, k], None
+        else:
+            v, idx = tables.tables[(k, j)]
+        vals.append(gains[:, j, k][:, None] * v[None, :])
+        index.append(idx)
+    res_edges = [[e for e, (k, _) in enumerate(edges) if k == kk]
+                 for kk in range(system.n_resources)]
+    lay_edges = [[e for e, (_, j) in enumerate(edges) if j == jj]
+                 for jj in range(system.n_layers)]
+
+    def norm(x):
+        total = x.sum(axis=1, keepdims=True)
+        safe = np.where(total > 0, total, 1.0)
+        return np.where(total > 0, x / safe, 1.0 / x.shape[1])
+
+    l2r = [np.full((t_count, m), 1.0 / m) for _ in edges]
+    r2l = [np.full((t_count, m), 1.0 / m) for _ in edges]
+    for _ in range(max_iter):
+        for k, es in enumerate(res_edges):
+            d = len(es)
+            if d == 0:
+                continue
+            shape = lambda i: (t_count,) + (1,) * i + (-1,) + (1,) * (d - 1 - i)
+            incoming = []
+            for e in es:
+                if index[e] is None:
+                    incoming.append(l2r[e])
+                else:
+                    agg = np.zeros((t_count, vals[e].shape[1]))
+                    np.add.at(agg.T, index[e], l2r[e].T)
+                    incoming.append(agg)
+            s = sum(vals[e].reshape(shape(i)) for i, e in enumerate(es))
+            energy = np.abs(y[:, k].reshape((t_count,) + (1,) * d) - s) ** 2
+            energy -= energy.min(axis=tuple(range(1, d + 1)), keepdims=True)
+            gauss = np.exp(-energy / nv)
+            for i, e in enumerate(es):
+                w = gauss
+                for i2 in range(d):
+                    if i2 != i:
+                        w = w * incoming[i2].reshape(shape(i2))
+                out = w.sum(axis=tuple(a for a in range(1, d + 1) if a != i + 1))
+                if index[e] is not None:
+                    out = out[:, index[e]]
+                r2l[e] = (1.0 - damping) * norm(out) + damping * r2l[e]
+        for es in lay_edges:
+            for e in es:
+                prod = np.ones((t_count, m))
+                for e2 in es:
+                    if e2 != e:
+                        prod = prod * r2l[e2]
+                l2r[e] = (1.0 - damping) * norm(prod) + damping * l2r[e]
+    marginals = np.ones((t_count, system.n_layers, m))
+    for j, es in enumerate(lay_edges):
+        for e in es:
+            marginals[:, j, :] *= r2l[e]
+    return norm(marginals.reshape(-1, m)).reshape(marginals.shape)
+
+
 # ---------------------------------------------------------------------------
 # exactness on simple graphs
 
@@ -90,6 +177,56 @@ def test_loopy_mpa_close_to_map():
         b = map_joint_oracle(y, system, ch, nv)
         tvs.append(0.5 * np.abs(a.marginals - b.marginals).sum(axis=1).mean())
     assert np.mean(tvs) <= 0.05
+
+
+@pytest.mark.parametrize("n_layers", [2, 3])
+def test_mpa_exact_on_cycle_free_graphs(n_layers):
+    # sum-product is exact on a factor graph without cycles once messages
+    # have crossed its diameter
+    system = build_named_system("4pt", 4, 2, n_layers, 4)
+    rng = np.random.default_rng(20 + n_layers)
+    for mode in ("awgn", "uplink_rayleigh"):
+        y, gains, nv = random_batch(system, 6.0, rng, mode, 64)
+        mpa = batch_mpa(y, gains, system, nv, max_iter=8)
+        exact = batch_map(y, gains, system, nv)
+        assert np.abs(mpa - exact).max() <= 1e-9
+
+
+PINNED_SYSTEMS = [
+    ("4pt", 6, 4, False),
+    ("lds", 6, 4, False),
+    ("lowproj", 6, 16, False),
+    ("lowproj", 6, 16, True),
+    ("t16", 2, 16, False),
+    ("4pt", 4, 4, False),  # partial load: resource degrees 2
+]
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+@pytest.mark.parametrize("mode", ["awgn", "uplink_rayleigh"])
+@pytest.mark.parametrize("scheme,n_layers,m,collapsed", PINNED_SYSTEMS)
+def test_batch_mpa_matches_reference_kernel(
+    scheme, n_layers, m, collapsed, mode, damping
+):
+    system = build_named_system(scheme, 4, 2, n_layers, m)
+    tables = collapse_projections(system) if collapsed else None
+    rng = np.random.default_rng(30)
+    y, gains, nv = random_batch(system, 8.0, rng, mode, 16)
+    got = batch_mpa(y, gains, system, nv, 4, damping, tables)
+    want = reference_mpa(y, gains, system, nv, 4, damping, tables)
+    assert np.abs(got - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("ratio", [1e-2, 1e-4, 1e-8])
+def test_marginals_finite_under_noise_mismatch(ratio):
+    # a detector noise variance far below the true one underflows the
+    # product of incoming messages for many trials
+    system = build_named_system("4pt", 4, 2, 6, 4)
+    rng = np.random.default_rng(40)
+    y, gains, nv = random_batch(system, 12.0, rng, "uplink_rayleigh", 512)
+    marg = batch_mpa(y, gains, system, nv * ratio, 8)
+    assert np.isfinite(marg).all()
+    assert np.allclose(marg.sum(axis=2), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

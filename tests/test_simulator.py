@@ -61,6 +61,9 @@ def test_config_validation():
     SimConfig(**ok)
     with pytest.raises(ValueError):
         SimConfig(**{**ok, "snr_grid_db": ()})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            SimConfig(**{**ok, "snr_grid_db": (4.0, bad)})
     with pytest.raises(ValueError):
         SimConfig(**{**ok, "min_errors": 0})
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from scma.codebook import build_named_system
 from scma.system_io import (
+    SYSTEM_KEYS,
     load_system,
     save_system,
     system_from_dict,
@@ -77,6 +78,23 @@ def test_mismatched_header_rejected(tmp_path):
     data["M"] = 8
     with pytest.raises(ValueError):
         system_from_dict(data)
+
+
+@pytest.mark.parametrize("key", SYSTEM_KEYS)
+def test_missing_key_rejected(key):
+    data = system_to_dict(build_named_system("4pt", 4, 2, 6, 4))
+    del data[key]
+    with pytest.raises(ValueError, match=repr(key)):
+        system_from_dict(data)
+
+
+def test_missing_nested_key_rejected():
+    data = system_to_dict(build_named_system("4pt", 4, 2, 6, 4))
+    del data["operators"][2]["phases"]
+    with pytest.raises(ValueError, match="'phases'"):
+        system_from_dict(data)
+    with pytest.raises(ValueError, match="JSON object"):
+        system_from_dict([1, 2])
 
 
 def test_tampered_codebook_rejected(tmp_path):
