@@ -10,9 +10,9 @@ from .codebook import SCHEMES, build_named_system
 from .constellation import measure
 from .mpa_detector import complexity_report
 from .simulator import (
+    EXPERIMENTS,
     SimConfig,
-    compare_power_variation,
-    compare_shaping,
+    run_experiment,
     run_sweep,
     write_compare_csv,
     write_csv,
@@ -79,13 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("compare", help="run a paired experiment, write a CSV")
-    p.add_argument("--experiment", choices=("power_variation", "shaping"),
-                   required=True)
+    p.add_argument("--experiment", choices=tuple(EXPERIMENTS), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--snr", type=parse_snr_grid, default=None,
                    help="override the default grid")
     p.add_argument("--layers", type=int, default=6, choices=(2, 4, 6),
-                   help="power_variation only")
+                   help="layer count J, power_variation only")
     p.add_argument("--min-errors", type=int, default=200)
     p.add_argument("--max-trials", type=int, default=400_000)
     p.add_argument("--out", required=True, help="output CSV path")
@@ -157,18 +156,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    fields = dict(seed=args.seed, min_errors=args.min_errors,
+                  max_trials=args.max_trials)
+    if args.snr is not None:
+        fields["snr_grid_db"] = args.snr
     if args.experiment == "power_variation":
-        kwargs = dict(seed=args.seed, min_errors=args.min_errors,
-                      max_trials=args.max_trials, layers=args.layers)
-        if args.snr is not None:
-            kwargs["snr_grid_db"] = args.snr
-        results = compare_power_variation(**kwargs)
-    else:
-        kwargs = dict(seed=args.seed, min_errors=args.min_errors,
-                      max_trials=args.max_trials)
-        if args.snr is not None:
-            kwargs["snr_grid_db"] = args.snr
-        results = compare_shaping(**kwargs)
+        fields["J"] = args.layers
+    results = run_experiment(args.experiment, **fields)
     write_compare_csv(results, args.out)
     for label, result in results.items():
         sers = ", ".join(f"{p.snr_db:g}dB:{p.ser:.3e}" for p in result.points)
@@ -187,7 +181,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

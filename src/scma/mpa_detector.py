@@ -18,7 +18,6 @@ from .constellation import PROJECTION_MERGE_TOL, merge_values
 
 __all__ = [
     "DetectionResult",
-    "BeliefState",
     "ProjectionTables",
     "ComplexityReport",
     "mpa_detect",
@@ -42,15 +41,6 @@ class DetectionResult:
     hard_symbols: np.ndarray  # (J,) argmax indices, ties -> lowest index
     bits: np.ndarray  # (J, log2 M) decoded label bits, MSB first
     iterations_run: int
-
-
-@dataclass(frozen=True)
-class BeliefState:
-    """Final message sets of one MPA run, keyed by (resource, layer)."""
-
-    resource_to_layer: dict
-    layer_to_resource: dict
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -95,24 +85,6 @@ def _edges(system: ScmaSystem):
             res_edges[k].append(e)
             lay_edges[j].append(e)
     return edges, res_edges, lay_edges
-
-
-def _edge_tables(
-    system: ScmaSystem, gains: np.ndarray, tables: ProjectionTables | None
-):
-    """Edge lists plus the (T, A_e) value table and symbol-to-value index
-    (None without `tables`) of every edge, channel folded in; gains is (T, J, K).
-    """
-    edges, res_edges, lay_edges = _edges(system)
-    edge_values, edge_index = [], []
-    for k, j in edges:
-        if tables is None:
-            vals, idx = system.codebooks[j].codewords[:, k], None
-        else:
-            vals, idx = tables.tables[(k, j)]
-        edge_values.append(gains[:, j, k][:, None] * vals[None, :])
-        edge_index.append(idx)
-    return edges, res_edges, lay_edges, edge_values, edge_index
 
 
 def _normalise(msg: np.ndarray) -> np.ndarray:
@@ -162,7 +134,8 @@ def _run_mpa(
     max_iter: int,
     damping: float,
 ):
-    """Flooding sum-product over precomputed per-edge value tables.
+    """Flooding sum-product over precomputed per-edge value tables; returns
+    the (T, J, alphabet) marginals.
 
     y is (T, K); edge_values[e] is (T, A_e) with the channel already folded
     in. When edge_index[e] is not None the edge works on A_e merged
@@ -225,8 +198,7 @@ def _run_mpa(
     for j, es in enumerate(lay_edges):
         for e in es:
             marginals[:, j, :] *= r2l[e]
-    marginals = _normalise(marginals.reshape(-1, alphabet)).reshape(marginals.shape)
-    return marginals, l2r, r2l
+    return _normalise(marginals.reshape(-1, alphabet)).reshape(marginals.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +214,30 @@ def batch_mpa(
     damping: float = 0.0,
     tables: ProjectionTables | None = None,
 ):
-    """MPA marginals for a stack of trials; returns (T, J, M)."""
+    """MPA marginals for a stack of trials; returns (T, J, M).
+
+    Runs exactly max_iter flooding iterations (resource updates, then layer
+    updates). With `tables` the per-resource enumeration runs over merged
+    projections instead of raw symbols, which changes nothing but cost.
+    """
     _check_detect_args(noise_var, max_iter, damping)
     y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
     gains = np.asarray(gains, dtype=np.complex128)
-    _, res_edges, lay_edges, edge_values, edge_index = _edge_tables(
-        system, gains, tables
-    )
-    marginals, _, _ = _run_mpa(
+    edges, res_edges, lay_edges = _edges(system)
+    # (T, A_e) value table of every edge with the channel folded in, and its
+    # symbol-to-value index (None without `tables`)
+    edge_values, edge_index = [], []
+    for k, j in edges:
+        if tables is None:
+            vals, idx = system.codebooks[j].codewords[:, k], None
+        else:
+            vals, idx = tables.tables[(k, j)]
+        edge_values.append(gains[:, j, k][:, None] * vals[None, :])
+        edge_index.append(idx)
+    return _run_mpa(
         y, edge_values, edge_index, res_edges, lay_edges,
         system.alphabet_size, noise_var, max_iter, damping,
     )
-    return marginals
 
 
 def batch_map(
@@ -337,14 +321,13 @@ def batch_split(
             sign = system.operators[j].phases[local].real
             col = sign * points[:, local]
             vals.append(gains[:, j, k].real[:, None] * col[None, :])
-        marg, _, _ = _run_mpa(
+        return _run_mpa(
             y_part.astype(np.complex128),
             [v.astype(np.complex128) for v in vals],
             [None] * len(edges),
             res_edges, lay_edges,
             alphabet, noise_var, max_iter, 0.0,
         )
-        return marg
 
     marg_re = half(mother.real_points, y.real, m_u)
     marg_im = half(mother.imag_points, y.imag, m_v)
@@ -371,7 +354,11 @@ def _label_bits(labels: np.ndarray, n_bits: int) -> np.ndarray:
     return (labels[:, None] >> shifts[None, :]) & 1
 
 
-def _result(system: ScmaSystem, marginals: np.ndarray, iters: int) -> DetectionResult:
+def _detect_one(batch, iters, y, system, channel, noise_var, *args) -> DetectionResult:
+    """Run the batch engine `batch` on one received vector and read off the
+    decisions; `args` follow noise_var in the engine's signature."""
+    y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
+    marginals = batch(y, channel.gains[None], system, noise_var, *args)[0]
     hard = marginals.argmax(axis=1)
     labels = system.mother.labels[hard]
     bits = _label_bits(labels, system.mother.bits_per_symbol)
@@ -386,32 +373,11 @@ def mpa_detect(
     max_iter: int = 8,
     damping: float = 0.0,
     tables: ProjectionTables | None = None,
-    return_state: bool = False,
-):
-    """Sum-product detection of one received vector.
-
-    Runs exactly max_iter flooding iterations (resource updates, then layer
-    updates). With `tables` the per-resource enumeration runs over merged
-    projections instead of raw symbols, which changes nothing but cost.
-    """
-    _check_detect_args(noise_var, max_iter, damping)
-    y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
-    edges, res_edges, lay_edges, edge_values, edge_index = _edge_tables(
-        system, channel.gains[None], tables
+) -> DetectionResult:
+    """Sum-product detection of one received vector; see batch_mpa."""
+    return _detect_one(
+        batch_mpa, max_iter, y, system, channel, noise_var, max_iter, damping, tables
     )
-    marginals, l2r, r2l = _run_mpa(
-        y, edge_values, edge_index, res_edges, lay_edges,
-        system.alphabet_size, noise_var, max_iter, damping,
-    )
-    result = _result(system, marginals[0], max_iter)
-    if return_state:
-        state = BeliefState(
-            resource_to_layer={edges[e]: r2l[e][0] for e in range(len(edges))},
-            layer_to_resource={edges[e]: l2r[e][0] for e in range(len(edges))},
-            iterations=max_iter,
-        )
-        return result, state
-    return result
 
 
 def map_joint_oracle(
@@ -421,13 +387,7 @@ def map_joint_oracle(
     noise_var: float,
 ) -> DetectionResult:
     """Exact per-layer marginals from full joint enumeration (M**J <= 2**20)."""
-    marginals = batch_map(
-        np.asarray(y, dtype=np.complex128).reshape(1, -1),
-        channel.gains[None],
-        system,
-        noise_var,
-    )
-    return _result(system, marginals[0], 1)
+    return _detect_one(batch_map, 1, y, system, channel, noise_var)
 
 
 def split_detect(
@@ -438,14 +398,7 @@ def split_detect(
     max_iter: int = 8,
 ) -> DetectionResult:
     """Real/imaginary split detection; see batch_split for the preconditions."""
-    marginals = batch_split(
-        np.asarray(y, dtype=np.complex128).reshape(1, -1),
-        channel.gains[None],
-        system,
-        noise_var,
-        max_iter,
-    )
-    return _result(system, marginals[0], max_iter)
+    return _detect_one(batch_split, max_iter, y, system, channel, noise_var, max_iter)
 
 
 def collapse_projections(

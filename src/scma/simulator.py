@@ -36,8 +36,8 @@ __all__ = [
     "wilson_halfwidth",
     "run_point",
     "run_sweep",
-    "compare_power_variation",
-    "compare_shaping",
+    "EXPERIMENTS",
+    "run_experiment",
     "write_csv",
     "write_compare_csv",
 ]
@@ -131,9 +131,7 @@ def wilson_halfwidth(errors: int, trials: int, z: float = WILSON_Z) -> float:
 
 
 def _detect(engine, y, gains, system, noise_var, max_iter, damping, tables):
-    if engine == "mpa":
-        return batch_mpa(y, gains, system, noise_var, max_iter, damping)
-    if engine == "mpa_collapsed":
+    if engine in ("mpa", "mpa_collapsed"):
         return batch_mpa(y, gains, system, noise_var, max_iter, damping, tables)
     if engine == "split":
         return batch_split(y, gains, system, noise_var, max_iter)
@@ -266,49 +264,40 @@ def _check_system_matches(system: ScmaSystem, config: SimConfig) -> None:
 # paired experiments
 
 
-def compare_power_variation(
-    snr_grid_db: tuple[float, ...] = (4.0, 5.0, 6.0, 7.0),
-    layers: int = 6,
-    seed: int = 0,
-    min_errors: int = 200,
-    max_trials: int = 400_000,
+# Per experiment: the SimConfig fields its runs share, then each labelled
+# run's own fields, in output order.
+EXPERIMENTS = {
+    # uneven-tone-power 4-point design against QPSK spreading
+    "power_variation": (
+        dict(K=4, N=2, J=6, M=4, channel_mode="awgn", snr_convention="per_layer",
+             snr_grid_db=(4.0, 5.0, 6.0, 7.0), min_errors=200, max_trials=400_000),
+        {"scma_4pt": dict(design="4pt"), "lds_qpsk": dict(design="lds")},
+    ),
+    # shaped 16-point two-tone design against repeated 16QAM, 2 disjoint layers
+    "shaping": (
+        dict(K=4, N=2, J=2, M=16, snr_convention="total",
+             snr_grid_db=(14.0, 18.0, 22.0), min_errors=200, max_trials=400_000),
+        {
+            f"{mode}/{label}": dict(channel_mode=mode, design=design)
+            for mode in ("uplink_rayleigh", "awgn")
+            for label, design in (("scma_t16", "t16"), ("lds_16qam", "lds"))
+        },
+    ),
+}
+
+
+def run_experiment(
+    name: str, labels: tuple[str, ...] | None = None, **fields
 ) -> dict[str, SimResult]:
-    """Uneven-tone-power 4-point design against QPSK spreading, AWGN,
-    per-layer SNR. Returns {'scma_4pt': ..., 'lds_qpsk': ...}."""
-    if layers not in (2, 4, 6):
-        raise ValueError("layers must be 2, 4 or 6")
-    common = dict(
-        K=4, N=2, J=layers, M=4,
-        channel_mode="awgn", snr_convention="per_layer",
-        snr_grid_db=tuple(float(s) for s in snr_grid_db),
-        seed=seed, min_errors=min_errors, max_trials=max_trials,
-    )
+    """Run the labelled runs of EXPERIMENTS[name] (all, or those in `labels`),
+    with `fields` overriding SimConfig fields of every run."""
+    if name not in EXPERIMENTS:
+        raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
+    shared, runs = EXPERIMENTS[name]
     return {
-        "scma_4pt": run_sweep(SimConfig(design="4pt", **common)),
-        "lds_qpsk": run_sweep(SimConfig(design="lds", **common)),
+        label: run_sweep(SimConfig(**{**shared, **runs[label], **fields}))
+        for label in (runs if labels is None else labels)
     }
-
-
-def compare_shaping(
-    snr_grid_db: tuple[float, ...] = (14.0, 18.0, 22.0),
-    seed: int = 0,
-    min_errors: int = 200,
-    max_trials: int = 400_000,
-    modes: tuple[str, ...] = ("uplink_rayleigh", "awgn"),
-) -> dict[str, SimResult]:
-    """Shaped 16-point two-tone design against repeated 16QAM, 2 disjoint
-    layers, total SNR. Keys look like 'uplink_rayleigh/scma_t16'."""
-    out: dict[str, SimResult] = {}
-    for mode in modes:
-        common = dict(
-            K=4, N=2, J=2, M=16,
-            channel_mode=mode, snr_convention="total",
-            snr_grid_db=tuple(float(s) for s in snr_grid_db),
-            seed=seed, min_errors=min_errors, max_trials=max_trials,
-        )
-        out[f"{mode}/scma_t16"] = run_sweep(SimConfig(design="t16", **common))
-        out[f"{mode}/lds_16qam"] = run_sweep(SimConfig(design="lds", **common))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,7 @@ from scma.mpa_detector import (
 )
 from scma.simulator import (
     SimConfig,
-    compare_power_variation,
-    compare_shaping,
+    run_experiment,
     run_sweep,
     wilson_halfwidth,
 )
@@ -243,8 +242,9 @@ def test_criterion_06_equivalence_suites():
 def test_criterion_07_power_variation_ordering():
     start = time.perf_counter()
     grid = (4.0, 5.0, 6.0, 7.0)
-    full = compare_power_variation(
-        snr_grid_db=grid, layers=6, seed=7, min_errors=200, max_trials=400_000
+    full = run_experiment(
+        "power_variation",
+        snr_grid_db=grid, J=6, seed=7, min_errors=200, max_trials=400_000,
     )
     scma = full["scma_4pt"].points
     lds = full["lds_qpsk"].points
@@ -252,8 +252,9 @@ def test_criterion_07_power_variation_ordering():
         assert 1e-3 <= a.ser <= 1e-1, f"scma ser {a.ser} outside window at {a.snr_db}"
         assert 1e-3 <= b.ser <= 1e-1, f"lds ser {b.ser} outside window at {b.snr_db}"
         assert a.ser <= b.ser, f"ordering violated at {a.snr_db} dB"
-    pair = compare_power_variation(
-        snr_grid_db=(4.0, 5.0), layers=2, seed=7, min_errors=200, max_trials=400_000
+    pair = run_experiment(
+        "power_variation",
+        snr_grid_db=(4.0, 5.0), J=2, seed=7, min_errors=200, max_trials=400_000,
     )
     for a, b in zip(pair["scma_4pt"].points, pair["lds_qpsk"].points):
         assert abs(a.ser - b.ser) <= 3 * (a.ser_ci95 + b.ser_ci95)
@@ -271,9 +272,10 @@ def test_criterion_07_power_variation_ordering():
 def test_criterion_08_shaping_ordering():
     start = time.perf_counter()
     grid = (14.0, 18.0, 22.0)
-    results = compare_shaping(
+    results = run_experiment(
+        "shaping",
+        labels=("uplink_rayleigh/scma_t16", "uplink_rayleigh/lds_16qam"),
         snr_grid_db=grid, seed=8, min_errors=200, max_trials=400_000,
-        modes=("uplink_rayleigh",),
     )
     t16 = results["uplink_rayleigh/scma_t16"].points
     lds = results["uplink_rayleigh/lds_16qam"].points

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from scma.cli import main, parse_snr_grid
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_parse_snr_grid_range():
@@ -119,7 +122,7 @@ def test_analyze_missing_key_is_clean(tmp_path, capsys):
     assert err == ["error: system lacks the required key 'J'"]
 
 
-def test_compare_power_variation_cli(tmp_path):
+def test_power_variation_cli_pinned_csv(tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--experiment", "power_variation", "--layers", "2",
                  "--snr", "5", "--seed", "1", "--min-errors", "25",
@@ -127,9 +130,10 @@ def test_compare_power_variation_cli(tmp_path):
     text = out.read_text()
     assert "# run=scma_4pt" in text
     assert "# run=lds_qpsk" in text
+    assert text == (GOLDEN / "power_variation_2layers.csv").read_text()
 
 
-def test_compare_shaping_cli(tmp_path):
+def test_shaping_cli_pinned_csv(tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--experiment", "shaping", "--snr", "16",
                  "--seed", "1", "--min-errors", "20", "--max-trials", "4096",
@@ -137,3 +141,36 @@ def test_compare_shaping_cli(tmp_path):
     text = out.read_text()
     assert "# run=uplink_rayleigh/scma_t16" in text
     assert "# run=awgn/lds_16qam" in text
+    assert text == (GOLDEN / "shaping.csv").read_text()
+
+
+def test_compare_rejects_unsupported_layers(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--experiment", "power_variation", "--layers", "3",
+              "--out", str(tmp_path / "cmp.csv")])
+    assert exc.value.code == 2
+    assert "--layers" in capsys.readouterr().err
+    assert not (tmp_path / "cmp.csv").exists()
+
+
+def test_missing_files_are_clean(tmp_path, capsys):
+    sysfile = tmp_path / "sys.json"
+    main(["design", "--scheme", "4pt", "--out", str(sysfile)])
+    missing = str(tmp_path / "missing.json")
+    no_dir = str(tmp_path / "no_dir" / "out")
+    commands = [
+        ["analyze", missing],
+        ["simulate", "--system", missing, "--snr", "8",
+         "--out", str(tmp_path / "x.csv")],
+        ["design", "--scheme", "4pt", "--out", no_dir],
+        ["simulate", "--system", str(sysfile), "--snr", "8", "--min-errors", "1",
+         "--max-trials", "128", "--out", no_dir],
+        ["compare", "--experiment", "power_variation", "--snr", "8",
+         "--min-errors", "1", "--max-trials", "128", "--out", no_dir],
+    ]
+    capsys.readouterr()
+    for argv in commands:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+        assert "No such file or directory" in err[0]

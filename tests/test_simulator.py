@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scma.simulator import (
+    EXPERIMENTS,
     SimConfig,
-    compare_power_variation,
-    compare_shaping,
     csv_lines,
+    run_experiment,
     run_point,
     run_sweep,
     wilson_halfwidth,
@@ -235,22 +235,28 @@ def test_csv_format():
 # paired experiments (thin smoke, full runs live in the acceptance suite)
 
 
-def test_compare_power_variation_shape():
-    results = compare_power_variation(
-        snr_grid_db=(5.0,), layers=2, seed=1, min_errors=25, max_trials=4_096
+def test_run_experiment_power_variation_shape():
+    results = run_experiment(
+        "power_variation", snr_grid_db=(5.0,), J=2, seed=1, min_errors=25,
+        max_trials=4_096,
     )
-    assert set(results) == {"scma_4pt", "lds_qpsk"}
+    assert list(results) == ["scma_4pt", "lds_qpsk"]
     for result in results.values():
         assert result.config.J == 2
         assert len(result.points) == 1
     with pytest.raises(ValueError):
-        compare_power_variation(layers=3)
+        run_experiment("no_such_experiment")
 
 
-def test_compare_shaping_shape():
-    results = compare_shaping(
+def test_run_experiment_shaping_shape():
+    assert list(EXPERIMENTS["shaping"][1]) == [
+        "uplink_rayleigh/scma_t16", "uplink_rayleigh/lds_16qam",
+        "awgn/scma_t16", "awgn/lds_16qam",
+    ]
+    results = run_experiment(
+        "shaping",
+        labels=("uplink_rayleigh/scma_t16", "uplink_rayleigh/lds_16qam"),
         snr_grid_db=(16.0,), seed=1, min_errors=25, max_trials=4_096,
-        modes=("uplink_rayleigh",),
     )
     assert set(results) == {"uplink_rayleigh/scma_t16", "uplink_rayleigh/lds_16qam"}
     for result in results.values():
