@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 from .codebook import SCHEMES, build_named_system
@@ -83,12 +85,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--snr", type=parse_snr_grid, default=None,
                    help="override the default grid")
-    p.add_argument("--layers", type=int, default=6, choices=(2, 4, 6),
-                   help="layer count J, power_variation only")
+    p.add_argument("--layers", type=int, default=None, choices=(2, 4, 6),
+                   help="layer count J, power_variation only (default 6)")
     p.add_argument("--min-errors", type=int, default=200)
     p.add_argument("--max-trials", type=int, default=400_000)
     p.add_argument("--out", required=True, help="output CSV path")
     return parser
+
+
+def _check_out_dir(path: str) -> None:
+    """Fail before a sweep, not after it, when the directory of `path` is missing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
 
 
 def _cmd_design(args) -> int:
@@ -126,6 +135,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simulate(args) -> int:
     system = load_system(args.system)
+    _check_out_dir(args.out)
     config = SimConfig(
         K=system.n_resources,
         N=system.n_active,
@@ -160,8 +170,11 @@ def _cmd_compare(args) -> int:
                   max_trials=args.max_trials)
     if args.snr is not None:
         fields["snr_grid_db"] = args.snr
-    if args.experiment == "power_variation":
+    if args.layers is not None:
+        if args.experiment != "power_variation":
+            raise ValueError("--layers applies to power_variation only")
         fields["J"] = args.layers
+    _check_out_dir(args.out)
     results = run_experiment(args.experiment, **fields)
     write_compare_csv(results, args.out)
     for label, result in results.items():

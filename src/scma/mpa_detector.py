@@ -243,7 +243,14 @@ def batch_mpa(
 def batch_map(
     y: np.ndarray, gains: np.ndarray, system: ScmaSystem, noise_var: float
 ) -> np.ndarray:
-    """Exact joint-MAP marginals by enumerating all M**J hypotheses."""
+    """Exact joint-MAP marginals over all M**J hypotheses, in one pass.
+
+    Resource k's log-likelihood term depends only on the layers at k, so it
+    is built over their axes alone and the K terms broadcast into one
+    (M, ..., M, T) table. Trials go last, so the sums over layer axes add
+    contiguous rows, and are sliced to keep the table within
+    MAX_JOINT_HYPOTHESES entries.
+    """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
     m, j_count = system.alphabet_size, system.n_layers
@@ -255,34 +262,30 @@ def batch_map(
     y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
     gains = np.asarray(gains, dtype=np.complex128)
     t_count, k_count = y.shape
-
-    chunk = max(1, min(total, (1 << 20) // max(1, t_count * k_count)))
-    starts = range(0, total, chunk)
-    # pass 1: per-trial max log-likelihood for a stable exponent shift
-    max_ll = np.full(t_count, -np.inf)
-    for start in starts:
-        ll = _map_loglik_chunk(y, gains, system, noise_var, start, chunk, total)
-        max_ll = np.maximum(max_ll, ll.max(axis=1))
-    marginals = np.zeros((t_count, j_count, m))
-    for start in starts:
-        ll = _map_loglik_chunk(y, gains, system, noise_var, start, chunk, total)
-        w = np.exp(ll - max_ll[:, None])
-        idx = np.arange(start, min(start + chunk, total))
+    layer_axes = tuple(range(j_count))
+    step = max(1, MAX_JOINT_HYPOTHESES // total)
+    marginals = np.empty((t_count, j_count, m))
+    for lo in range(0, t_count, step):
+        y_s, g_s = y[lo : lo + step], gains[lo : lo + step]
+        t_s = y_s.shape[0]
+        ll = np.zeros((m,) * j_count + (t_s,))
+        for k in range(k_count):
+            s = 0j
+            for j in system.graph.layers_at(k):
+                shape = [1] * j_count + [t_s]
+                shape[j] = m
+                vals = system.codebooks[j].codewords[:, k, None] * g_s[:, j, k]
+                s = s + vals.reshape(shape)
+            ll -= np.abs(y_s[:, k] - s) ** 2
+        ll /= noise_var
+        # shift each trial's best hypothesis to 0 so exp cannot underflow
+        # all of a trial's hypotheses
+        ll -= ll.max(axis=layer_axes)
+        w = np.exp(ll, out=ll)
         for j in range(j_count):
-            digits = (idx // m ** (j_count - 1 - j)) % m
-            onehot = (digits[:, None] == np.arange(m)).astype(np.float64)
-            marginals[:, j, :] += w @ onehot
+            others = layer_axes[:j] + layer_axes[j + 1 :]
+            marginals[lo : lo + t_s, j] = w.sum(axis=others).T
     return marginals / marginals.sum(axis=2, keepdims=True)
-
-
-def _map_loglik_chunk(y, gains, system, noise_var, start, chunk, total):
-    m, j_count = system.alphabet_size, system.n_layers
-    idx = np.arange(start, min(start + chunk, total))
-    y_hat = np.zeros((y.shape[0], len(idx), y.shape[1]), dtype=np.complex128)
-    for j in range(j_count):
-        digits = (idx // m ** (j_count - 1 - j)) % m
-        y_hat += gains[:, j, None, :] * system.codebooks[j].codewords[digits][None]
-    return -np.sum(np.abs(y[:, None, :] - y_hat) ** 2, axis=2) / noise_var
 
 
 def batch_split(

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,29 @@ def test_shaping_cli_pinned_csv(tmp_path):
     assert text == (GOLDEN / "shaping.csv").read_text()
 
 
+def test_map_simulate_cli_pinned_csv(tmp_path, monkeypatch):
+    # a relative --system path keeps the design echo free of tmp_path
+    monkeypatch.chdir(tmp_path)
+    assert main(["design", "--scheme", "4pt", "--out", "4pt.json"]) == 0
+    args = ["simulate", "--system", "4pt.json", "--engine", "map",
+            "--channel", "uplink", "--snr", "8,12", "--min-errors", "50",
+            "--max-trials", "1024", "--seed", "1"]
+    golden = (GOLDEN / "map_uplink.csv").read_text()
+    for workers in ("1", "2"):
+        assert main(args + ["--workers", workers, "--out", "map.csv"]) == 0
+        assert Path("map.csv").read_text() == golden
+
+
+def test_compare_layers_rejected_for_shaping(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    code = main(["compare", "--experiment", "shaping", "--layers", "4",
+                 "--snr", "16", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: --layers applies to power_variation only"]
+    assert not out.exists()
+
+
 def test_compare_rejects_unsupported_layers(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--experiment", "power_variation", "--layers", "3",
@@ -174,3 +198,13 @@ def test_missing_files_are_clean(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
         assert "No such file or directory" in err[0]
+    # sweeps that would run for minutes stop before their first trial
+    slow = ["--snr", "30", "--min-errors", "100000", "--max-trials", "10000000",
+            "--out", no_dir]
+    for argv in (["simulate", "--system", str(sysfile)] + slow,
+                 ["compare", "--experiment", "power_variation"] + slow):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 1.0, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "No such file or directory" in err[0], (argv, err)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scma.channel_model import (
     ChannelRealization,
@@ -8,8 +9,8 @@ from scma.channel_model import (
     snr_to_noise_variance,
 )
 from scma.codebook import LayerOperator, ScmaSystem, build_codebook, build_named_system
-from scma.constellation import t16qam
-from scma.factor_graph import build_full_graph, mapping_matrix
+from scma.constellation import four_point_mother, t16qam
+from scma.factor_graph import build_full_graph, build_subgraph, mapping_matrix
 from scma.mpa_detector import (
     MAX_JOINT_HYPOTHESES,
     batch_map,
@@ -142,6 +143,39 @@ def reference_mpa(y, gains, system, nv, max_iter, damping=0.0, tables=None):
     return norm(marginals.reshape(-1, m)).reshape(marginals.shape)
 
 
+def reference_map(y, gains, system, nv):
+    """Joint MAP that rebuilds the full K-resource superposition of every
+    hypothesis, in hypothesis chunks, twice: once for each trial's maximum
+    log-likelihood and once for the weights, which one-hot matmuls fold into
+    the marginals; returns (T, J, M)."""
+    m, j_count = system.alphabet_size, system.n_layers
+    total = m**j_count
+    t_count, k_count = y.shape
+    chunk = max(1, min(total, (1 << 20) // max(1, t_count * k_count)))
+    starts = range(0, total, chunk)
+
+    def loglik(start):
+        idx = np.arange(start, min(start + chunk, total))
+        y_hat = np.zeros((t_count, len(idx), k_count), dtype=np.complex128)
+        for j in range(j_count):
+            digits = (idx // m ** (j_count - 1 - j)) % m
+            y_hat += gains[:, j, None, :] * system.codebooks[j].codewords[digits][None]
+        return -np.sum(np.abs(y[:, None, :] - y_hat) ** 2, axis=2) / nv
+
+    max_ll = np.full(t_count, -np.inf)
+    for start in starts:
+        max_ll = np.maximum(max_ll, loglik(start).max(axis=1))
+    marginals = np.zeros((t_count, j_count, m))
+    for start in starts:
+        w = np.exp(loglik(start) - max_ll[:, None])
+        idx = np.arange(start, min(start + chunk, total))
+        for j in range(j_count):
+            digits = (idx // m ** (j_count - 1 - j)) % m
+            onehot = (digits[:, None] == np.arange(m)).astype(np.float64)
+            marginals[:, j, :] += w @ onehot
+    return marginals / marginals.sum(axis=2, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
 # exactness on simple graphs
 
@@ -220,13 +254,62 @@ def test_batch_mpa_matches_reference_kernel(
 @pytest.mark.parametrize("ratio", [1e-2, 1e-4, 1e-8])
 def test_marginals_finite_under_noise_mismatch(ratio):
     # a detector noise variance far below the true one underflows the
-    # product of incoming messages for many trials
+    # product of incoming messages, and any unshifted joint likelihood, for
+    # many trials
     system = build_named_system("4pt", 4, 2, 6, 4)
     rng = np.random.default_rng(40)
     y, gains, nv = random_batch(system, 12.0, rng, "uplink_rayleigh", 512)
-    marg = batch_mpa(y, gains, system, nv * ratio, 8)
-    assert np.isfinite(marg).all()
-    assert np.allclose(marg.sum(axis=2), 1.0, atol=1e-12)
+    for marg in (batch_mpa(y, gains, system, nv * ratio, 8),
+                 batch_map(y, gains, system, nv * ratio)):
+        assert np.isfinite(marg).all()
+        assert np.allclose(marg.sum(axis=2), 1.0, atol=1e-12)
+
+
+MAP_SYSTEMS = [
+    ("4pt", 6, 4, "awgn", 32),
+    ("4pt", 6, 4, "uplink_rayleigh", 32),
+    ("t16", 2, 16, "uplink_rayleigh", 32),
+    # 65536 hypotheses: 16 trials per slice, so 64 trials take four slices
+    ("t16", 4, 16, "uplink_rayleigh", 64),
+]
+
+
+@pytest.mark.parametrize("scheme,n_layers,m,mode,size", MAP_SYSTEMS)
+def test_batch_map_matches_reference_oracle(scheme, n_layers, m, mode, size):
+    system = build_named_system(scheme, 4, 2, n_layers, m)
+    rng = np.random.default_rng(50)
+    y, gains, nv = random_batch(system, 8.0, rng, mode, size)
+    got = batch_map(y, gains, system, nv)
+    want = reference_map(y, gains, system, nv)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    n_layers=st.integers(1, 3),
+    m=st.sampled_from([4, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["awgn", "uplink_rayleigh"]),
+    snr_db=st.floats(0.0, 20.0),
+)
+def test_mpa_equals_map_on_random_trees(n_layers, m, seed, mode, snr_db):
+    # K=4, N=2 with at most three layers is a cycle-free factor graph, so
+    # sum-product is exact whatever the operator phases
+    rng = np.random.default_rng(seed)
+    graph = build_subgraph(4, 2, n_layers)
+    mother = four_point_mother() if m == 4 else t16qam()
+    ops = tuple(
+        LayerOperator(phases=np.exp(2j * np.pi * rng.random(2)))
+        for _ in range(n_layers)
+    )
+    cbs = tuple(
+        build_codebook(mother, ops[j], mapping_matrix(graph.signature(j)))
+        for j in range(n_layers)
+    )
+    system = ScmaSystem(graph=graph, mother=mother, operators=ops, codebooks=cbs)
+    y, gains, nv = random_batch(system, snr_db, rng, mode, 16)
+    mpa = batch_mpa(y, gains, system, nv, max_iter=8)
+    assert np.abs(mpa - batch_map(y, gains, system, nv)).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
