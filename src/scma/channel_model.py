@@ -101,14 +101,15 @@ def sample_noise(
 
 
 def superpose(
-    codewords: np.ndarray, channel: ChannelRealization, noise: np.ndarray
+    codewords: np.ndarray, channel: ChannelRealization | np.ndarray, noise: np.ndarray
 ) -> np.ndarray:
-    """y = sum_j gains[j] * codewords[j] + noise, elementwise per resource."""
+    """y = sum_j gains[j] * codewords[j] + noise over the layer axis of a
+    (..., J, K) codeword stack; channel is a ChannelRealization or its gains."""
+    gains = channel.gains if isinstance(channel, ChannelRealization) else channel
     cw = np.asarray(codewords, dtype=np.complex128)
-    if cw.shape != channel.gains.shape:
-        raise ValueError("codeword stack and gains must both be layers x resources")
-    y = (channel.gains * cw).sum(axis=0) + np.asarray(noise, dtype=np.complex128)
-    return y
+    if cw.shape != np.shape(gains):
+        raise ValueError("codeword stack and gains must both be (..., J, K)")
+    return (gains * cw).sum(axis=-2) + np.asarray(noise, dtype=np.complex128)
 
 
 def snr_to_noise_variance(snr_db: float, system, convention: str) -> NoiseModel:

@@ -142,6 +142,12 @@ class ScmaSystem:
     def alphabet_size(self) -> int:
         return self.mother.size
 
+    @property
+    def is_separable(self) -> bool:
+        """True when split detection applies: the mother factors into real and
+        imaginary parts and every operator phase is +-1."""
+        return self.mother.is_separable and all(op.is_real for op in self.operators)
+
 
 def apply_operator(
     mother: MotherConstellation, op: LayerOperator

@@ -98,35 +98,53 @@ def _normalise(msg: np.ndarray) -> np.ndarray:
 
 def _resource_tables(y, edge_values, res_edges, noise_var):
     """Per resource, exp(-(|y_k - s|^2 - min_s |y_k - s|^2) / noise_var) over
-    every sum s of its edges' values, one axis per edge after the trial axis;
-    None for a resource with no edges. It depends only on y and the channel.
+    every sum s of its edges' values as a (T, A_1 * ... * A_{d-1}, A_d) array
+    in edge order, or None without edges. The first d - 1 edges fold into a
+    complex residual y_k - s; the energy against the last is real arithmetic.
     """
     t_count = y.shape[0]
     tables = []
     for k, es in enumerate(res_edges):
-        d = len(es)
-        if d == 0:
+        if not es:
             tables.append(None)
             continue
-        s = np.zeros((t_count,) + (1,) * d, dtype=np.complex128)
-        for i, e in enumerate(es):
-            shape = (t_count,) + (1,) * i + (-1,) + (1,) * (d - 1 - i)
-            s = s + edge_values[e].reshape(shape)
-        energy = np.abs(y[:, k].reshape((t_count,) + (1,) * d) - s) ** 2
-        energy -= energy.min(axis=tuple(range(1, d + 1)), keepdims=True)
-        tables.append(np.exp(-energy / noise_var))
+        r = y[:, k, None]
+        for e in es[:-1]:
+            r = (r[:, :, None] - edge_values[e][:, None, :]).reshape(t_count, -1)
+        last = edge_values[es[-1]][:, None, :]
+        re = r.real[:, :, None] - last.real
+        im = r.imag[:, :, None] - last.imag
+        energy = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
+        energy -= energy.min(axis=(1, 2), keepdims=True)
+        energy /= -noise_var
+        tables.append(np.exp(energy, out=energy))
     return tables
 
 
-# einsum subscripts for the hypothesis axes of a resource table; "t" is the
-# trial axis
-_AXES = "abcdefghijklmnopqrsuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+def _leave_one_out(table, msgs):
+    """out[i][t, a_i]: the sum of table[t] over every axis but i, weighted by
+    the messages on those axes; table[t] holds the axes of msgs in order,
+    flattened in any way that keeps that order.
+
+    Two batched matmuls per level: the outer product of all but the last
+    message against the table gives the last axis's output, and the table
+    times the last message drops that axis for the next level.
+    """
+    t_count = table.shape[0]
+    if len(msgs) == 1:
+        return [table.reshape(t_count, -1)]
+    w = msgs[0]
+    for m in msgs[1:-1]:
+        w = (w[:, :, None] * m[:, None, :]).reshape(t_count, -1)
+    g = table.reshape(t_count, w.shape[1], -1)
+    last = (w[:, None, :] @ g)[:, 0]
+    return _leave_one_out(g @ msgs[-1][:, :, None], msgs[:-1]) + [last]
 
 
 def _run_mpa(
     y: np.ndarray,
     edge_values: list[np.ndarray],
-    edge_index: list[np.ndarray | None],
+    edge_proj: list[np.ndarray | None],
     res_edges,
     lay_edges,
     alphabet: int,
@@ -137,14 +155,11 @@ def _run_mpa(
     """Flooding sum-product over precomputed per-edge value tables; returns
     the (T, J, alphabet) marginals.
 
-    y is (T, K); edge_values[e] is (T, A_e) with the channel already folded
-    in. When edge_index[e] is not None the edge works on A_e merged
-    projections and index maps each of the `alphabet` symbols onto its
-    projection; messages still live on the full alphabet.
-
-    Each resource-to-layer message contracts the resource's likelihood
-    table with the outer product of the other incoming messages, which has
-    at most prod(A_e) / A_e entries per trial.
+    y is (T, K), real or complex; edge_values[e] is (T, A_e) with the
+    channel already folded in. When edge_proj[e] is not None the edge works
+    on A_e merged projections and edge_proj[e] is the (alphabet, A_e)
+    indicator of each symbol's projection; messages still live on the full
+    alphabet, summed onto the projections on the way into a resource.
     """
     t_count = y.shape[0]
     n_edges = len(edge_values)
@@ -155,44 +170,22 @@ def _run_mpa(
 
     for _ in range(max_iter):
         for k, es in enumerate(res_edges):
-            gauss = tables[k]
-            if gauss is None:
+            if tables[k] is None:
                 continue
-            incoming = []
+            proj = [edge_proj[e] for e in es]
+            incoming = [l2r[e] if p is None else l2r[e] @ p for e, p in zip(es, proj)]
+            outs = _leave_one_out(tables[k], incoming)
+            for e, p, out in zip(es, proj, outs):
+                if p is not None:
+                    out = out @ p.T
+                r2l[e] = (1.0 - damping) * _normalise(out) + damping * r2l[e]
+        for es in lay_edges:
             for e in es:
-                idx = edge_index[e]
-                if idx is None:
-                    incoming.append(l2r[e])
-                else:
-                    agg = np.zeros((t_count, edge_values[e].shape[1]))
-                    np.add.at(agg.T, idx, l2r[e].T)
-                    incoming.append(agg)
-            axes = _AXES[: len(es)]
-            for i, e in enumerate(es):
-                others = [i2 for i2 in range(len(es)) if i2 != i]
-                if others:
-                    w = incoming[others[0]]
-                    for i2 in others[1:]:
-                        w = w[..., None] * incoming[i2].reshape(
-                            (t_count,) + (1,) * (w.ndim - 1) + (-1,)
-                        )
-                    sub = "".join(axes[i2] for i2 in others)
-                    out = np.einsum(f"t{axes},t{sub}->t{axes[i]}", gauss, w)
-                else:
-                    out = gauss
-                idx = edge_index[e]
-                if idx is not None:
-                    out = out[:, idx]
-                out = _normalise(out)
-                r2l[e] = (1.0 - damping) * out + damping * r2l[e]
-        for j, es in enumerate(lay_edges):
-            for i, e in enumerate(es):
                 prod = np.ones((t_count, alphabet))
-                for i2, e2 in enumerate(es):
-                    if i2 != i:
+                for e2 in es:
+                    if e2 != e:
                         prod = prod * r2l[e2]
-                out = _normalise(prod)
-                l2r[e] = (1.0 - damping) * out + damping * l2r[e]
+                l2r[e] = (1.0 - damping) * _normalise(prod) + damping * l2r[e]
 
     marginals = np.ones((t_count, len(lay_edges), alphabet))
     for j, es in enumerate(lay_edges):
@@ -225,17 +218,18 @@ def batch_mpa(
     gains = np.asarray(gains, dtype=np.complex128)
     edges, res_edges, lay_edges = _edges(system)
     # (T, A_e) value table of every edge with the channel folded in, and its
-    # symbol-to-value index (None without `tables`)
-    edge_values, edge_index = [], []
+    # symbol-to-value indicator (None without `tables`)
+    edge_values, edge_proj = [], []
     for k, j in edges:
         if tables is None:
-            vals, idx = system.codebooks[j].codewords[:, k], None
+            vals, proj = system.codebooks[j].codewords[:, k], None
         else:
             vals, idx = tables.tables[(k, j)]
+            proj = np.eye(len(vals))[idx]
         edge_values.append(gains[:, j, k][:, None] * vals[None, :])
-        edge_index.append(idx)
+        edge_proj.append(proj)
     return _run_mpa(
-        y, edge_values, edge_index, res_edges, lay_edges,
+        y, edge_values, edge_proj, res_edges, lay_edges,
         system.alphabet_size, noise_var, max_iter, damping,
     )
 
@@ -306,10 +300,8 @@ def batch_split(
     y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
     gains = np.asarray(gains, dtype=np.complex128)
     mother = system.mother
-    if not mother.is_separable:
-        raise ValueError("mother constellation has no separable structure")
-    if not all(op.is_real for op in system.operators):
-        raise ValueError("split detection needs +-1 operator phases")
+    if not system.is_separable:
+        raise ValueError("split detection needs a separable mother and +-1 phases")
     if np.abs(gains.imag).max() > 1e-12:
         raise ValueError("split detection needs real channel gains")
 
@@ -325,10 +317,7 @@ def batch_split(
             col = sign * points[:, local]
             vals.append(gains[:, j, k].real[:, None] * col[None, :])
         return _run_mpa(
-            y_part.astype(np.complex128),
-            [v.astype(np.complex128) for v in vals],
-            [None] * len(edges),
-            res_edges, lay_edges,
+            y_part, vals, [None] * len(edges), res_edges, lay_edges,
             alphabet, noise_var, max_iter, 0.0,
         )
 
@@ -429,7 +418,7 @@ def complexity_report(system: ScmaSystem) -> ComplexityReport:
             count *= tables.counts(k, j)
         collapsed.append(count)
     split = None
-    if system.mother.is_separable and all(op.is_real for op in system.operators):
+    if system.is_separable:
         m_u = system.mother.real_points.shape[0]
         m_v = system.mother.imag_points.shape[0]
         split = tuple(m_u**d + m_v**d for d in degrees)

@@ -23,6 +23,7 @@ from .channel_model import (
     sample_gains,
     sample_noise,
     snr_to_noise_variance,
+    superpose,
 )
 from .codebook import ScmaSystem, build_named_system
 from .mpa_detector import batch_map, batch_mpa, batch_split, collapse_projections
@@ -78,6 +79,8 @@ class SimConfig:
             raise ValueError(f"snr_convention must be one of {SNR_CONVENTIONS}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
+        if self.engine == "split" and self.channel_mode != "awgn":
+            raise ValueError("split detection needs real gains: channel_mode 'awgn'")
         if len(self.snr_grid_db) == 0:
             raise ValueError("snr grid must be nonempty")
         if not all(math.isfinite(v) for v in self.snr_grid_db):
@@ -157,7 +160,7 @@ def _run_block(system, config, noise_var, point_index, block, size, tables):
         codewords[:, layer, :] = system.codebooks[layer].codewords[tx_sym[:, layer]]
     gains = sample_gains(config.channel_mode, j, k, rng, size=size)
     noise = sample_noise(noise_var, k, rng, size=size)
-    y = (gains * codewords).sum(axis=1) + noise
+    y = superpose(codewords, gains, noise)
     marginals = _detect(
         config.engine, y, gains, system, noise_var,
         config.max_iter, config.damping, tables,
@@ -181,6 +184,7 @@ def run_point(
     The stopping rule is evaluated between blocks in block order, so the
     stopping trial count is a pure function of (config, snr point).
     """
+    _check_system(system, config)
     noise = snr_to_noise_variance(snr_db, system, config.snr_convention)
     tables = (
         collapse_projections(system) if config.engine == "mpa_collapsed" else None
@@ -244,8 +248,6 @@ def run_sweep(config: SimConfig, system: ScmaSystem | None = None) -> SimResult:
     """Run every SNR point of the grid with per-point derived sub-seeds."""
     if system is None:
         system = config.build_system()
-    else:
-        _check_system_matches(system, config)
     points = tuple(
         run_point(system, config, snr_db, point_index=i)
         for i, snr_db in enumerate(config.snr_grid_db)
@@ -253,11 +255,13 @@ def run_sweep(config: SimConfig, system: ScmaSystem | None = None) -> SimResult:
     return SimResult(config=config, points=points)
 
 
-def _check_system_matches(system: ScmaSystem, config: SimConfig) -> None:
+def _check_system(system: ScmaSystem, config: SimConfig) -> None:
     got = (system.n_resources, system.n_active, system.n_layers, system.alphabet_size)
     want = (config.K, config.N, config.J, config.M)
     if got != want:
         raise ValueError(f"system (K,N,J,M)={got} does not match config {want}")
+    if config.engine == "split" and not system.is_separable:
+        raise ValueError("split detection needs a separable mother and +-1 phases")
 
 
 # ---------------------------------------------------------------------------

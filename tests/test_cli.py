@@ -158,6 +158,40 @@ def test_map_simulate_cli_pinned_csv(tmp_path, monkeypatch):
         assert Path("map.csv").read_text() == golden
 
 
+@pytest.mark.parametrize("engine", ["mpa", "mpa_collapsed"])
+def test_lowproj_simulate_cli_pinned_csv(tmp_path, monkeypatch, engine):
+    monkeypatch.chdir(tmp_path)
+    assert main(["design", "--scheme", "lowproj", "--m", "16",
+                 "--out", "lowproj.json"]) == 0
+    assert main(["simulate", "--system", "lowproj.json", "--engine", engine,
+                 "--channel", "uplink", "--snr", "16,20", "--min-errors", "50",
+                 "--max-trials", "256", "--seed", "1", "--out", "lp.csv"]) == 0
+    golden = GOLDEN / f"lowproj_uplink_{engine}.csv"
+    assert Path("lp.csv").read_text() == golden.read_text()
+
+
+def test_split_rejected_before_first_block(tmp_path, capsys, monkeypatch):
+    # a system without +-1 phases, or a channel with complex gains, fails
+    # before the first block of trials is drawn
+    import scma.simulator
+
+    calls = []
+    monkeypatch.setattr(scma.simulator, "_run_block", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    main(["design", "--scheme", "4pt", "--out", "4pt.json"])
+    main(["design", "--scheme", "t16", "--j", "2", "--m", "16", "--out", "t16.json"])
+    capsys.readouterr()
+    for system, channel in (("4pt.json", "awgn"), ("t16.json", "uplink"),
+                            ("t16.json", "downlink")):
+        code = main(["simulate", "--system", system, "--channel", channel,
+                     "--snr", "8", "--engine", "split", "--out", "x.csv"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: split")
+    assert calls == []
+    assert not Path("x.csv").exists()
+
+
 def test_compare_layers_rejected_for_shaping(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = main(["compare", "--experiment", "shaping", "--layers", "4",

@@ -227,22 +227,31 @@ def test_mpa_exact_on_cycle_free_graphs(n_layers):
 
 
 PINNED_SYSTEMS = [
-    ("4pt", 6, 4, False),
-    ("lds", 6, 4, False),
-    ("lowproj", 6, 16, False),
-    ("lowproj", 6, 16, True),
-    ("t16", 2, 16, False),
-    ("4pt", 4, 4, False),  # partial load: resource degrees 2
+    ("4pt", 4, 6, 4, False),
+    ("lds", 4, 6, 4, False),
+    ("lowproj", 4, 6, 16, False),
+    ("lowproj", 4, 6, 16, True),
+    ("t16", 4, 2, 16, False),
+    ("4pt", 4, 4, 4, False),  # partial load: resource degrees 2
+    ("4pt", 4, 3, 4, False),  # resource degrees 2, 1, 2, 1
+    ("4pt", 4, 5, 4, False),  # resource degrees 3, 2, 2, 3
+    ("lds", 5, 10, 4, False),  # resource degree 4
 ]
 
 
 @pytest.mark.parametrize("damping", [0.0, 0.3])
 @pytest.mark.parametrize("mode", ["awgn", "uplink_rayleigh"])
-@pytest.mark.parametrize("scheme,n_layers,m,collapsed", PINNED_SYSTEMS)
+@pytest.mark.parametrize(
+    "scheme,n_res,n_layers,m,collapsed",
+    PINNED_SYSTEMS,
+    # ids name K only where it is not 4
+    ids=[f"{s}-{j}-{m}-{c}" if k == 4 else f"{s}-K{k}-{j}-{m}-{c}"
+         for s, k, j, m, c in PINNED_SYSTEMS],
+)
 def test_batch_mpa_matches_reference_kernel(
-    scheme, n_layers, m, collapsed, mode, damping
+    scheme, n_res, n_layers, m, collapsed, mode, damping
 ):
-    system = build_named_system(scheme, 4, 2, n_layers, m)
+    system = build_named_system(scheme, n_res, 2, n_layers, m)
     tables = collapse_projections(system) if collapsed else None
     rng = np.random.default_rng(30)
     y, gains, nv = random_batch(system, 8.0, rng, mode, 16)

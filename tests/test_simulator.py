@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from scma import simulator
 from scma.simulator import (
     EXPERIMENTS,
     SimConfig,
@@ -76,6 +77,10 @@ def test_config_validation():
         SimConfig(**{**ok, "damping": 1.0})
     with pytest.raises(ValueError):
         SimConfig(**{**ok, "workers": 0})
+    # split detection needs real gains, and these draw complex ones
+    for mode in ("downlink", "uplink_rayleigh"):
+        with pytest.raises(ValueError):
+            SimConfig(**{**ok, "engine": "split", "channel_mode": mode})
 
 
 def test_config_system_mismatch_detected():
@@ -190,6 +195,18 @@ def test_collapsed_engine_matches_plain_counts():
     fast = run_sweep(SimConfig(engine="mpa_collapsed", **base)).points[0]
     assert plain.sym_errors == fast.sym_errors
     assert plain.trials == fast.trials
+
+
+def test_split_preconditions_checked_before_first_block(monkeypatch):
+    # 4pt has e^{i pi/3} operator phases, so split detection cannot apply
+    calls = []
+    monkeypatch.setattr(simulator, "_run_block", lambda *args: calls.append(args))
+    config = SimConfig(design="4pt", engine="split", snr_grid_db=(8.0,))
+    with pytest.raises(ValueError, match="split"):
+        run_sweep(config)
+    with pytest.raises(ValueError, match="split"):
+        run_point(config.build_system(), config, 8.0)
+    assert calls == []
 
 
 def test_split_engine_matches_mpa():
