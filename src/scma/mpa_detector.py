@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 MAX_JOINT_HYPOTHESES = 1 << 20
+# exp below this argument is subnormal or 0 in float64; subnormal exp and
+# matmuls over subnormals are slow, so such table entries are flushed to 0
+EXP_FLUSH_ARG = -708.0
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,9 @@ def _normalise(msg: np.ndarray) -> np.ndarray:
 def _resource_tables(y, edge_values, res_edges, noise_var):
     """Per resource, exp(-(|y_k - s|^2 - min_s |y_k - s|^2) / noise_var) over
     every sum s of its edges' values as a (T, A_1 * ... * A_{d-1}, A_d) array
-    in edge order, or None without edges. The first d - 1 edges fold into a
-    complex residual y_k - s; the energy against the last is real arithmetic.
+    in edge order, or None without edges; entries below the smallest normal
+    float are 0. The first d - 1 edges fold into a complex residual y_k - s;
+    the energy against the last is real arithmetic.
     """
     t_count = y.shape[0]
     tables = []
@@ -117,6 +121,7 @@ def _resource_tables(y, edge_values, res_edges, noise_var):
         energy = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
         energy -= energy.min(axis=(1, 2), keepdims=True)
         energy /= -noise_var
+        np.copyto(energy, -np.inf, where=energy < EXP_FLUSH_ARG)
         tables.append(np.exp(energy, out=energy))
     return tables
 

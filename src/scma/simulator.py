@@ -2,8 +2,11 @@
 
 Trials are partitioned into fixed blocks of 128; each block owns a counter
 derived generator, so the random stream of a block depends only on
-(seed, point index, block index). Workers may evaluate blocks in any
-order and the sweep output stays bit-identical.
+(seed, point index, block index). Consecutive blocks are detected in
+windows, one detector call each, capped by the likelihood-table entries
+the call builds; the stop is still decided block by block and the trials
+past it are discarded. Workers may evaluate windows in any order, and
+neither they nor the window sizes change a byte of the sweep output.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +31,9 @@ from .channel_model import (
     superpose,
 )
 from .codebook import ScmaSystem, build_named_system
-from .mpa_detector import batch_map, batch_mpa, batch_split, collapse_projections
+from .mpa_detector import (
+    batch_map, batch_mpa, batch_split, collapse_projections, complexity_report,
+)
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -44,6 +51,9 @@ __all__ = [
 ]
 
 BLOCK_TRIALS = 128
+# likelihood-table entries per detector call over a window of blocks (one
+# block always runs); larger calls gain little speed and cost peak memory
+MAX_WINDOW_ENTRIES = 1 << 17
 ENGINES = ("mpa", "mpa_collapsed", "split", "map_oracle")
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -143,34 +153,45 @@ def _detect(engine, y, gains, system, noise_var, max_iter, damping, tables):
     raise ValueError(f"engine must be one of {ENGINES}")
 
 
-def _run_block(system, config, noise_var, point_index, block, size, tables):
-    """Simulate one seeded block; returns (trials, sym_errors, bit_errors)."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence([config.seed, point_index, block])
-    )
+def _run_block(system, config, noise_var, point_index, blocks, consts):
+    """Simulate the seeded blocks `blocks` with one detector call; returns
+    (trials, sym_errors, bit_errors) of each block, in block order."""
+    weights, popcount, codebook, tables = consts
     j, k = system.n_layers, system.n_resources
-    m = system.alphabet_size
-    bits = system.mother.bits_per_symbol
-    weights = 1 << np.arange(bits - 1, -1, -1, dtype=np.int64)
-    tx_bits = rng.integers(0, 2, size=(size, j, bits), dtype=np.int64)
-    tx_labels = tx_bits @ weights
-    tx_sym = system.mother.encode(tx_labels)
-    codewords = np.zeros((size, j, k), dtype=np.complex128)
-    for layer in range(j):
-        codewords[:, layer, :] = system.codebooks[layer].codewords[tx_sym[:, layer]]
-    gains = sample_gains(config.channel_mode, j, k, rng, size=size)
-    noise = sample_noise(noise_var, k, rng, size=size)
-    y = superpose(codewords, gains, noise)
+    layers = np.arange(j)
+    sizes, parts = [], []
+    for b in blocks:
+        seq = np.random.SeedSequence([config.seed, point_index, b])
+        rng = np.random.default_rng(seq)
+        size = min(BLOCK_TRIALS, config.max_trials - b * BLOCK_TRIALS)
+        tx_bits = rng.integers(0, 2, size=(size, j, len(weights)), dtype=np.int64)
+        tx_labels = tx_bits @ weights
+        tx_sym = system.mother.encode(tx_labels)
+        gains = sample_gains(config.channel_mode, j, k, rng, size=size)
+        noise = sample_noise(noise_var, k, rng, size=size)
+        y = superpose(codebook[layers, tx_sym], gains, noise)
+        sizes.append(size)
+        parts.append((tx_labels, tx_sym, gains, y))
+    tx_labels, tx_sym, gains, y = (np.concatenate(a) for a in zip(*parts))
+    del parts  # free the per-block arrays before the detector allocates its tables
     marginals = _detect(
         config.engine, y, gains, system, noise_var,
         config.max_iter, config.damping, tables,
     )
     hard = marginals.argmax(axis=2)
-    sym_errors = int((hard != tx_sym).sum())
-    rx_labels = system.mother.labels[hard]
-    popcount = np.array([bin(v).count("1") for v in range(m)], dtype=np.int64)
-    bit_errors = int(popcount[rx_labels ^ tx_labels].sum())
-    return size, sym_errors, bit_errors
+    sym_errors = (hard != tx_sym).sum(axis=1)
+    bit_errors = popcount[system.mother.labels[hard] ^ tx_labels].sum(axis=1)
+    starts = np.cumsum([0] + sizes[:-1])
+    per_block = (np.add.reduceat(e, starts).tolist() for e in (sym_errors, bit_errors))
+    return list(zip(sizes, *per_block))
+
+
+def _entries_per_trial(system: ScmaSystem, engine: str) -> int:
+    """Likelihood-table entries the engine builds for one trial."""
+    if engine == "map_oracle":
+        return system.alphabet_size**system.n_layers
+    r = complexity_report(system)
+    return sum({"mpa": r.plain, "mpa_collapsed": r.collapsed, "split": r.split}[engine])
 
 
 def run_point(
@@ -181,54 +202,59 @@ def run_point(
 ) -> SimPoint:
     """Simulate one SNR point until min_errors symbol errors or max_trials.
 
-    The stopping rule is evaluated between blocks in block order, so the
-    stopping trial count is a pure function of (config, snr point).
+    Blocks are detected in windows of consecutive blocks, one detector call
+    each, but the stopping rule is evaluated between blocks in block order:
+    the stopping trial count is a pure function of (config, snr point), and
+    the trials of a window past the stop are discarded.
     """
     _check_system(system, config)
     noise = snr_to_noise_variance(snr_db, system, config.snr_convention)
     tables = (
         collapse_projections(system) if config.engine == "mpa_collapsed" else None
     )
+    bits = system.mother.bits_per_symbol
+    consts = (
+        1 << np.arange(bits - 1, -1, -1, dtype=np.int64),
+        np.array([bin(v).count("1") for v in range(1 << bits)], dtype=np.int64),
+        np.stack([cb.codewords for cb in system.codebooks]),
+        tables,
+    )
     start = time.perf_counter()
     trials = sym_errors = bit_errors = 0
 
-    def block_size(b: int) -> int:
-        return min(BLOCK_TRIALS, config.max_trials - b * BLOCK_TRIALS)
-
-    def job(b: int):
-        return _run_block(
-            system, config, noise.variance, point_index, b, block_size(b), tables
-        )
-
     n_blocks = math.ceil(config.max_trials / BLOCK_TRIALS)
-    if config.workers == 1:
-        for b in range(n_blocks):
-            t, s, be = job(b)
-            trials += t
-            sym_errors += s
-            bit_errors += be
-            if sym_errors >= config.min_errors:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            pending = {}
-            window = 2 * config.workers
-            submitted = 0
-            for b in range(n_blocks):
-                while submitted < min(n_blocks, b + window):
-                    pending[submitted] = pool.submit(job, submitted)
-                    submitted += 1
-                t, s, be = pending.pop(b).result()
+    entries = BLOCK_TRIALS * _entries_per_trial(system, config.engine)
+    cap = max(1, MAX_WINDOW_ENTRIES // entries)
+    pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
+    in_flight = 2 * config.workers if pool else 1
+    pending = deque()
+    done = submitted = 0
+    with pool or nullcontext():
+        while sym_errors < config.min_errors and done < n_blocks:
+            while len(pending) < in_flight and submitted < n_blocks:
+                # the blocks the error rate so far says the point needs, less
+                # those submitted; with no error yet, twice the blocks done
+                need = (
+                    math.ceil(done * config.min_errors / sym_errors)
+                    if sym_errors else 3 * done
+                ) - submitted
+                w = min(cap, n_blocks - submitted, max(1, need))
+                job = (system, config, noise.variance, point_index,
+                       range(submitted, submitted + w), consts)
+                pending.append(pool.submit(_run_block, *job) if pool else job)
+                submitted += w
+            head = pending.popleft()
+            for t, s, be in head.result() if pool else _run_block(*head):
+                if sym_errors >= config.min_errors:
+                    break
                 trials += t
                 sym_errors += s
                 bit_errors += be
-                if sym_errors >= config.min_errors:
-                    for f in pending.values():
-                        f.cancel()
-                    break
+                done += 1
+        for f in pending:
+            f.cancel()
 
     j = system.n_layers
-    bits = system.mother.bits_per_symbol
     n_sym = trials * j
     n_bit = trials * j * bits
     return SimPoint(

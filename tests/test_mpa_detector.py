@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scma import mpa_detector
 from scma.channel_model import (
     ChannelRealization,
     sample_gains,
@@ -272,6 +273,24 @@ def test_marginals_finite_under_noise_mismatch(ratio):
                  batch_map(y, gains, system, nv * ratio)):
         assert np.isfinite(marg).all()
         assert np.allclose(marg.sum(axis=2), 1.0, atol=1e-12)
+
+
+def test_likelihood_tables_hold_no_subnormals(monkeypatch):
+    # at 20 dB most lowproj hypotheses lie far enough from y that exp
+    # underflows; those entries must be an exact 0, never subnormal
+    build = mpa_detector._resource_tables
+    tables = []
+    monkeypatch.setattr(
+        mpa_detector, "_resource_tables", lambda *a: tables.extend(build(*a)) or tables
+    )
+    system = build_named_system("lowproj", 4, 2, 6, 16)
+    rng = np.random.default_rng(60)
+    y, gains, nv = random_batch(system, 20.0, rng, "uplink_rayleigh", 16)
+    got = batch_mpa(y, gains, system, nv, 4)
+    entries = np.concatenate([t.ravel() for t in tables])
+    assert (entries == 0).mean() > 0.1
+    assert ((entries == 0) | (entries >= np.finfo(float).tiny)).all()
+    assert np.abs(got - reference_mpa(y, gains, system, nv, 4)).max() <= 1e-9
 
 
 MAP_SYSTEMS = [

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from scma import simulator
+from scma.channel_model import sample_gains, sample_noise, superpose
+from scma.mpa_detector import collapse_projections
 from scma.simulator import (
     EXPERIMENTS,
     SimConfig,
@@ -217,6 +220,98 @@ def test_split_engine_matches_mpa():
     joint = run_sweep(SimConfig(engine="mpa", **base)).points[0]
     split = run_sweep(SimConfig(engine="split", **base)).points[0]
     assert joint.sym_errors == split.sym_errors
+
+
+# ---------------------------------------------------------------------------
+# windows of blocks per detector call
+
+
+def record_calls(monkeypatch):
+    """Trials of every detector call run_point makes, in call order."""
+    detect = simulator._detect
+    sizes = []
+
+    def recorded(engine, y, *args):
+        sizes.append(y.shape[0])
+        return detect(engine, y, *args)
+
+    monkeypatch.setattr(simulator, "_detect", recorded)
+    return sizes
+
+
+WINDOW_CASES = [
+    dict(design="4pt", engine="mpa"),
+    dict(design="lds", engine="mpa_collapsed"),
+    dict(design="t16", J=2, M=16, engine="split"),
+    dict(design="4pt", J=4, engine="map_oracle"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", WINDOW_CASES, ids=lambda c: c["engine"])
+def test_windows_do_not_change_points(monkeypatch, case, workers):
+    # with one worker mpa, mpa_collapsed and map_oracle each stop inside a
+    # window at one of the first three points; the error-starved last point
+    # ends on a partial block
+    config = small_config(
+        snr_grid_db=(2.0, 4.0, 6.0, 40.0), seed=1, min_errors=100, max_trials=3_000,
+        workers=workers, **case,
+    )
+    sizes = record_calls(monkeypatch)
+    windowed = run_sweep(config)
+    assert max(sizes) > simulator.BLOCK_TRIALS
+    sizes.clear()
+    monkeypatch.setattr(simulator, "MAX_WINDOW_ENTRIES", 1)
+    blockwise = run_sweep(config)
+    assert max(sizes) == simulator.BLOCK_TRIALS
+    assert windowed.points == blockwise.points
+
+
+@pytest.mark.parametrize("case", WINDOW_CASES, ids=lambda c: c["engine"])
+def test_detectors_give_same_marginals_on_concatenated_blocks(case):
+    # windows rely on every engine treating trials independently, bit for bit
+    config = small_config(**case)
+    system = config.build_system()
+    tables = collapse_projections(system) if config.engine == "mpa_collapsed" else None
+    rng = np.random.default_rng(11)
+    blocks = []
+    for size in (128, 128, 40):
+        tx = rng.integers(0, config.M, (size, config.J))
+        cw = np.stack([system.codebooks[j].codewords[tx[:, j]]
+                       for j in range(config.J)], axis=1)
+        gains = sample_gains("awgn", config.J, config.K, rng, size=size)
+        blocks.append((superpose(cw, gains, sample_noise(0.2, config.K, rng, size)), gains))
+
+    def detect(y, gains):
+        return simulator._detect(config.engine, y, gains, system, 0.2, 8, 0.0, tables)
+
+    whole = detect(*(np.concatenate(a) for a in zip(*blocks)))
+    assert np.array_equal(whole, np.concatenate([detect(y, g) for y, g in blocks]))
+
+
+CAPPED_CASES = [
+    # design, M, engine, table entries per trial, most trials per call
+    ("4pt", 4, "mpa", 4 * 4**3, 512),
+    # one block already exceeds the cap on these kernel-bound engines
+    ("lowproj", 16, "mpa", 4 * 16**3, 128),
+    ("lowproj", 16, "mpa_collapsed", 4 * 9**3, 128),
+    ("4pt", 4, "map_oracle", 4**6, 128),
+]
+
+
+@pytest.mark.parametrize("design,m,engine,entries,most", CAPPED_CASES)
+def test_detector_calls_stay_within_entry_cap(monkeypatch, design, m, engine, entries, most):
+    config = SimConfig(
+        K=4, N=2, J=6, M=m, design=design, engine=engine,
+        channel_mode="uplink_rayleigh", snr_grid_db=(12.0,), seed=2,
+        min_errors=1_000, max_trials=1_000,
+    )
+    sizes = record_calls(monkeypatch)
+    point = run_sweep(config).points[0]
+    assert sum(sizes) >= point.trials
+    assert max(sizes) == most
+    for size in sizes:
+        assert size <= simulator.BLOCK_TRIALS or size * entries <= simulator.MAX_WINDOW_ENTRIES
 
 
 # ---------------------------------------------------------------------------
