@@ -350,11 +350,11 @@ def four_point_mother() -> MotherConstellation:
     return shuffle_construct(u, origin)
 
 
-def low_projection_16point(grid_step: float = 1e-3) -> MotherConstellation:
+def low_projection_16point() -> MotherConstellation:
     """16-point variant whose per-dimension projections collapse to nine
     values, trading diversity for detector complexity."""
     base = base_lattice(2, 4)
-    _, r = optimize_rotation_projections(base, 9, grid_step)
+    _, r = optimize_rotation_projections(base, 9)
     u = rotate(base, r)
     return shuffle_construct(u, u)
 
@@ -444,10 +444,10 @@ def optimize_rotation_projections(
     constellation shows at most `target` distinct values per complex
     dimension, maximising the minimum gap between the merged values.
 
-    Candidate angles are the open (0, pi/2) grid plus every analytic
-    coordinate-collision angle (projection merges happen only there, so a
-    plain grid would miss them). Raises ValueError when no candidate
-    reaches the target.
+    Projections merge only at the analytic coordinate-collision angles, and
+    without a merge a dimension shows base.size**2 values. So for target <
+    base.size**2 the candidates are the collision angles alone; otherwise
+    the open (0, pi/2) grid joins them. Raises ValueError when none fits.
     """
     if base.n_dims != 2:
         raise ValueError("rotation search is implemented for 2-D bases only")
@@ -456,8 +456,9 @@ def optimize_rotation_projections(
     if target < 1:
         raise ValueError("target must be at least 1")
 
-    cand = list(np.arange(grid_step, math.pi / 2, grid_step))
-    cand.extend(_pairwise_merge_angles(base.points))
+    cand = _pairwise_merge_angles(base.points)
+    if target >= base.size**2:
+        cand.extend(np.arange(grid_step, math.pi / 2 - 1e-12, grid_step))
     cand = sorted(set(round(a, 15) for a in cand))
 
     best_angle = None

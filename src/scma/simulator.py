@@ -54,6 +54,7 @@ BLOCK_TRIALS = 128
 # likelihood-table entries per detector call over a window of blocks (one
 # block always runs); larger calls gain little speed and cost peak memory
 MAX_WINDOW_ENTRIES = 1 << 17
+MAX_WORKERS = 64  # thread-pool size; run_point keeps 2 * workers windows in flight
 ENGINES = ("mpa", "mpa_collapsed", "split", "map_oracle")
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -103,8 +104,8 @@ class SimConfig:
             raise ValueError("max_iter must be at least 1")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must lie in [1, {MAX_WORKERS}]")
 
     def build_system(self) -> ScmaSystem:
         return build_named_system(self.design, self.K, self.N, self.J, self.M)

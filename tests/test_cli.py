@@ -192,6 +192,19 @@ def test_split_rejected_before_first_block(tmp_path, capsys, monkeypatch):
     assert not Path("x.csv").exists()
 
 
+def test_workers_above_bound_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    main(["design", "--scheme", "4pt", "--out", "4pt.json"])
+    capsys.readouterr()
+    # 256 trials are two blocks, so even an unbounded pool starts two threads
+    code = main(["simulate", "--system", "4pt.json", "--snr", "8",
+                 "--max-trials", "256", "--workers", "100000000", "--out", "x.csv"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: workers")
+    assert not Path("x.csv").exists()
+
+
 def test_compare_layers_rejected_for_shaping(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = main(["compare", "--experiment", "shaping", "--layers", "4",

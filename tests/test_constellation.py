@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scma import constellation
 from scma.constellation import (
     FOUR_POINT_ANGLE,
     GOLDEN_ANGLE,
@@ -372,6 +374,66 @@ def test_optimize_projections_sixteen_feasible():
 def test_optimize_projections_impossible_target():
     with pytest.raises(ValueError):
         optimize_rotation_projections(base_lattice(2, 4), 1, grid_step=1e-2)
+
+
+def test_optimize_projections_excludes_unrotated_square():
+    # this grid's last point lies within rounding of pi/2, where the square
+    # is unrotated and shows 4 widely spaced values per dimension; the
+    # search covers the open interval (0, pi/2) only
+    step = math.pi / 4 / 785
+    angle, _ = optimize_rotation_projections(base_lattice(2, 4), 9, grid_step=step)
+    assert angle == round(math.pi / 4, 15)
+    angle, _ = optimize_rotation_projections(base_lattice(2, 4), 16, grid_step=step)
+    assert angle < math.pi / 2 - 1e-12
+
+
+def reference_projection_search(size, targets, grid_step):
+    """Brute force: every grid angle plus every collision angle, rebuilt and
+    merged; per target, the first angle with the widest gap. A dimension
+    without merges shows size**2 values, which no target below size**2
+    admits, so an angle's merging stops there."""
+    assert max(targets) < size**2
+    base = base_lattice(2, size)
+    cand = list(np.arange(grid_step, math.pi / 2, grid_step))
+    cand.extend(constellation._pairwise_merge_angles(base.points))
+    best = {t: (None, -math.inf) for t in targets}
+    for angle in sorted(set(round(a, 15) for a in cand)):
+        u = rotate(base, rotation_2d(angle))
+        mother = shuffle_construct(u, u)
+        count, gap = 0, math.inf
+        for n in range(mother.n_dims):
+            reps, _ = merge_values(mother.points[:, n])
+            count = max(count, len(reps))
+            if count == size**2:
+                break
+            if len(reps) > 1:
+                d = np.abs(reps[:, None] - reps[None, :])
+                np.fill_diagonal(d, np.inf)
+                gap = min(gap, float(d.min()))
+        for t in targets:
+            if count <= t and gap > best[t][1]:
+                best[t] = (angle, gap)
+    return {t: angle for t, (angle, _) in best.items()}
+
+
+@pytest.mark.parametrize(
+    "size,targets,grid_step",
+    [(4, (9, 12, 15), s) for s in (1e-3, 2e-3, 5e-4)] + [(16, (255,), 1e-2)],
+)
+def test_optimize_projections_matches_grid_reference(size, targets, grid_step):
+    want = reference_projection_search(size, targets, grid_step)
+    for target in targets:
+        angle, r = optimize_rotation_projections(base_lattice(2, size), target, grid_step)
+        assert angle == want[target]
+        assert np.array_equal(r, rotation_2d(angle))
+
+
+def test_low_projection_points_bit_identical():
+    # sha256 of the little-endian complex128 points as first designed
+    points = low_projection_16point().points.astype("<c16")
+    assert hashlib.sha256(points.tobytes()).hexdigest() == (
+        "72edc787d7c20800ea6ad3d509752f71e9ea5e4dd8185b6bda72e52b639cb203"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scma import mpa_detector
 from scma.channel_model import (
@@ -10,8 +10,10 @@ from scma.channel_model import (
     snr_to_noise_variance,
 )
 from scma.codebook import LayerOperator, ScmaSystem, build_codebook, build_named_system
-from scma.constellation import four_point_mother, t16qam
-from scma.factor_graph import build_full_graph, build_subgraph, mapping_matrix
+from scma.constellation import four_point_mother, repetition_qam_mother, t16qam
+from scma.factor_graph import (
+    FactorGraph, build_full_graph, build_subgraph, mapping_matrix,
+)
 from scma.mpa_detector import (
     MAX_JOINT_HYPOTHESES,
     batch_map,
@@ -312,31 +314,69 @@ def test_batch_map_matches_reference_oracle(scheme, n_layers, m, mode, size):
     assert np.abs(got - want).max() <= 1e-12
 
 
+def random_tree_graph(rng, n_resources, n_active, n_layers):
+    """Cycle-free factor graph of at most n_layers layers: each layer joins
+    n_active resources from distinct connected components, so no cycle can
+    close and no two columns coincide."""
+    comp = np.arange(n_resources)
+    cols = []
+    while len(cols) < n_layers and len(np.unique(comp)) >= n_active:
+        roots = rng.choice(np.unique(comp), n_active, replace=False)
+        cols.append([rng.choice(np.flatnonzero(comp == c)) for c in roots])
+        comp[np.isin(comp, roots)] = roots[0]
+    m = np.zeros((n_resources, len(cols)), dtype=np.uint8)
+    for j, sup in enumerate(cols):
+        m[sup, j] = 1
+    return FactorGraph(m, n_active)
+
+
+def bipartite_diameter(graph):
+    """Longest shortest path, in edges, between two connected nodes of the
+    resource-layer graph: the steps until reachability stops growing."""
+    k = graph.n_resources
+    adj = np.zeros((k + graph.n_layers,) * 2, dtype=np.int64)
+    adj[:k, k:] = graph.matrix
+    adj += adj.T
+    reach = np.eye(len(adj), dtype=np.int64)
+    steps = 0
+    while True:
+        grown = ((reach + reach @ adj) > 0).astype(np.int64)
+        if np.array_equal(grown, reach):
+            return steps
+        reach, steps = grown, steps + 1
+
+
 @settings(max_examples=24, deadline=None)
 @given(
-    n_layers=st.integers(1, 3),
+    n_resources=st.integers(3, 6),
+    n_active=st.sampled_from([2, 3]),
     m=st.sampled_from([4, 16]),
     seed=st.integers(0, 2**32 - 1),
     mode=st.sampled_from(["awgn", "uplink_rayleigh"]),
     snr_db=st.floats(0.0, 20.0),
 )
-def test_mpa_equals_map_on_random_trees(n_layers, m, seed, mode, snr_db):
-    # K=4, N=2 with at most three layers is a cycle-free factor graph, so
-    # sum-product is exact whatever the operator phases
+def test_mpa_equals_map_on_random_trees(n_resources, n_active, m, seed, mode, snr_db):
+    # sum-product is exact on a cycle-free factor graph once messages have
+    # crossed it, whatever the resource degrees and operator phases
+    assume(n_active < n_resources)
     rng = np.random.default_rng(seed)
-    graph = build_subgraph(4, 2, n_layers)
-    mother = four_point_mother() if m == 4 else t16qam()
+    # M**J stays within 2**16 hypotheses for the brute-force oracle
+    graph = random_tree_graph(rng, n_resources, n_active, rng.integers(1, 9 if m == 4 else 5))
+    if n_active == 2:
+        mother = four_point_mother() if m == 4 else t16qam()
+    else:
+        mother = repetition_qam_mother(m, n_active)
     ops = tuple(
-        LayerOperator(phases=np.exp(2j * np.pi * rng.random(2)))
-        for _ in range(n_layers)
+        LayerOperator(phases=np.exp(2j * np.pi * rng.random(n_active)))
+        for _ in range(graph.n_layers)
     )
     cbs = tuple(
         build_codebook(mother, ops[j], mapping_matrix(graph.signature(j)))
-        for j in range(n_layers)
+        for j in range(graph.n_layers)
     )
     system = ScmaSystem(graph=graph, mother=mother, operators=ops, codebooks=cbs)
     y, gains, nv = random_batch(system, snr_db, rng, mode, 16)
-    mpa = batch_mpa(y, gains, system, nv, max_iter=8)
+    mpa = batch_mpa(y, gains, system, nv, max_iter=bipartite_diameter(graph))
     assert np.abs(mpa - batch_map(y, gains, system, nv)).max() <= 1e-9
 
 
