@@ -31,9 +31,10 @@ __all__ = [
 ]
 
 MAX_JOINT_HYPOTHESES = 1 << 20
-# exp below this argument is subnormal or 0 in float64; subnormal exp and
-# matmuls over subnormals are slow, so such table entries are flushed to 0
-EXP_FLUSH_ARG = -708.0
+# exp arguments below this give an exact 0. numpy's SIMD exp leaves its fast
+# path below about -707.7 (near the smallest normal float, exp(-708.4)) and
+# for -inf, and subnormal table entries would slow the matmuls over them.
+EXP_FLUSH_ARG = -707.0
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,23 @@ def _normalise(msg: np.ndarray) -> np.ndarray:
     return out
 
 
+def _exp_flushed(a: np.ndarray) -> np.ndarray:
+    """exp(a) in place, with every entry whose argument is below
+    EXP_FLUSH_ARG (-inf included) set to an exact 0; exp itself only ever
+    sees arguments on its fast path."""
+    keep = a >= EXP_FLUSH_ARG
+    np.maximum(a, EXP_FLUSH_ARG, out=a)
+    np.exp(a, out=a)
+    a *= keep
+    return a
+
+
 def _resource_tables(y, edge_values, res_edges, noise_var):
     """Per resource, exp(-(|y_k - s|^2 - min_s |y_k - s|^2) / noise_var) over
     every sum s of its edges' values as a (T, A_1 * ... * A_{d-1}, A_d) array
-    in edge order, or None without edges; entries below the smallest normal
-    float are 0. The first d - 1 edges fold into a complex residual y_k - s;
-    the energy against the last is real arithmetic.
+    in edge order, or None without edges; entries whose exp argument is below
+    EXP_FLUSH_ARG are 0. The first d - 1 edges fold into a complex residual
+    y_k - s; the energy against the last is real arithmetic.
     """
     t_count = y.shape[0]
     tables = []
@@ -121,8 +133,7 @@ def _resource_tables(y, edge_values, res_edges, noise_var):
         energy = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
         energy -= energy.min(axis=(1, 2), keepdims=True)
         energy /= -noise_var
-        np.copyto(energy, -np.inf, where=energy < EXP_FLUSH_ARG)
-        tables.append(np.exp(energy, out=energy))
+        tables.append(_exp_flushed(energy))
     return tables
 
 
@@ -248,7 +259,9 @@ def batch_map(
     is built over their axes alone and the K terms broadcast into one
     (M, ..., M, T) table. Trials go last, so the sums over layer axes add
     contiguous rows, and are sliced to keep the table within
-    MAX_JOINT_HYPOTHESES entries.
+    MAX_JOINT_HYPOTHESES entries. The table is summed twice, over the second
+    and over the first half of the layer axes; each layer's marginal is read
+    off the small sum that keeps its axis.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
@@ -262,12 +275,15 @@ def batch_map(
     gains = np.asarray(gains, dtype=np.complex128)
     t_count, k_count = y.shape
     layer_axes = tuple(range(j_count))
+    half = j_count // 2
+    # (axes summed out of the table, layers whose axes the sum keeps)
+    halves = [(layer_axes[half:], range(half)), (layer_axes[:half], range(half, j_count))]
     step = max(1, MAX_JOINT_HYPOTHESES // total)
     marginals = np.empty((t_count, j_count, m))
     for lo in range(0, t_count, step):
         y_s, g_s = y[lo : lo + step], gains[lo : lo + step]
         t_s = y_s.shape[0]
-        ll = np.zeros((m,) * j_count + (t_s,))
+        ll = np.empty((m,) * j_count + (t_s,))
         for k in range(k_count):
             s = 0j
             for j in system.graph.layers_at(k):
@@ -275,15 +291,25 @@ def batch_map(
                 shape[j] = m
                 vals = system.codebooks[j].codewords[:, k, None] * g_s[:, j, k]
                 s = s + vals.reshape(shape)
-            ll -= np.abs(y_s[:, k] - s) ** 2
-        ll /= noise_var
+            r = y_s[:, k] - s
+            # scaled while the term still spans only the layers at k
+            term = np.square(r.real) + np.square(r.imag)
+            term /= -noise_var
+            if k:
+                ll += term
+            else:
+                ll[...] = term
         # shift each trial's best hypothesis to 0 so exp cannot underflow
         # all of a trial's hypotheses
         ll -= ll.max(axis=layer_axes)
-        w = np.exp(ll, out=ll)
-        for j in range(j_count):
-            others = layer_axes[:j] + layer_axes[j + 1 :]
-            marginals[lo : lo + t_s, j] = w.sum(axis=others).T
+        w = _exp_flushed(ll)
+        for summed, kept in halves:
+            if not kept:
+                continue
+            part = w.sum(axis=summed)
+            for i, j in enumerate(kept):
+                others = tuple(a for a in range(len(kept)) if a != i)
+                marginals[lo : lo + t_s, j] = part.sum(axis=others).T
     return marginals / marginals.sum(axis=2, keepdims=True)
 
 

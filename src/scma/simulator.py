@@ -239,6 +239,10 @@ def run_point(
                     math.ceil(done * config.min_errors / sym_errors)
                     if sym_errors else 3 * done
                 ) - submitted
+                # beyond one window per worker, speculate only on blocks the
+                # estimate still asks for
+                if need <= 0 and len(pending) >= config.workers:
+                    break
                 w = min(cap, n_blocks - submitted, max(1, need))
                 job = (system, config, noise.variance, point_index,
                        range(submitted, submitted + w), consts)

@@ -295,20 +295,46 @@ def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     assert np.abs(got - reference_mpa(y, gains, system, nv, 4)).max() <= 1e-9
 
 
+def test_exp_flushed_is_exp_or_exact_zero():
+    cut = mpa_detector.EXP_FLUSH_ARG
+    above = np.concatenate([[cut, -0.0, 0.0], np.linspace(cut, 0.0, 10001)])
+    below = np.array([-np.inf, -1e300, -800.0, -708.5, -708.0, np.nextafter(cut, -np.inf)])
+    a = np.concatenate([above, below])
+    got = mpa_detector._exp_flushed(a.copy())
+    assert np.array_equal(got[: above.size], np.exp(above))
+    assert (got[above.size :] == 0).all()
+    assert ((got == 0) | (got >= np.finfo(float).tiny)).all()
+
+
+def map_case(scheme, n_layers, m, mode, size, snr_db=8.0):
+    """A MAP_SYSTEMS row; its id names the SNR only when it is not 8 dB."""
+    tail = "" if snr_db == 8.0 else f"-{snr_db:g}dB"
+    return pytest.param(
+        scheme, n_layers, m, mode, size, snr_db,
+        id=f"{scheme}-{n_layers}-{m}-{mode}-{size}{tail}",
+    )
+
+
 MAP_SYSTEMS = [
-    ("4pt", 6, 4, "awgn", 32),
-    ("4pt", 6, 4, "uplink_rayleigh", 32),
-    ("t16", 2, 16, "uplink_rayleigh", 32),
+    map_case("4pt", 6, 4, "awgn", 32),
+    map_case("4pt", 6, 4, "uplink_rayleigh", 32),
+    map_case("t16", 2, 16, "uplink_rayleigh", 32),
     # 65536 hypotheses: 16 trials per slice, so 64 trials take four slices
-    ("t16", 4, 16, "uplink_rayleigh", 64),
+    map_case("t16", 4, 16, "uplink_rayleigh", 64),
+    # odd J: the marginal sums keep one layer axis and then two
+    map_case("4pt", 3, 4, "uplink_rayleigh", 32),
+    # J = 1: the first half of the layer axes is empty
+    map_case("t16", 1, 16, "uplink_rayleigh", 32),
+    # most shifted log-likelihoods fall below EXP_FLUSH_ARG
+    map_case("4pt", 6, 4, "uplink_rayleigh", 32, 20.0),
 ]
 
 
-@pytest.mark.parametrize("scheme,n_layers,m,mode,size", MAP_SYSTEMS)
-def test_batch_map_matches_reference_oracle(scheme, n_layers, m, mode, size):
+@pytest.mark.parametrize("scheme,n_layers,m,mode,size,snr_db", MAP_SYSTEMS)
+def test_batch_map_matches_reference_oracle(scheme, n_layers, m, mode, size, snr_db):
     system = build_named_system(scheme, 4, 2, n_layers, m)
     rng = np.random.default_rng(50)
-    y, gains, nv = random_batch(system, 8.0, rng, mode, size)
+    y, gains, nv = random_batch(system, snr_db, rng, mode, size)
     got = batch_map(y, gains, system, nv)
     want = reference_map(y, gains, system, nv)
     assert np.abs(got - want).max() <= 1e-12
