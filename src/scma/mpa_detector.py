@@ -78,7 +78,7 @@ class ComplexityReport:
 
 
 def _edges(system: ScmaSystem):
-    """Edge list plus per-resource and per-layer edge indices."""
+    """Edge list, per-resource edge indices and the (J, N) layer edge array."""
     edges = []
     res_edges = [[] for _ in range(system.n_resources)]
     lay_edges = [[] for _ in range(system.n_layers)]
@@ -88,73 +88,93 @@ def _edges(system: ScmaSystem):
             edges.append((k, j))
             res_edges[k].append(e)
             lay_edges[j].append(e)
-    return edges, res_edges, lay_edges
+    return edges, res_edges, np.array(lay_edges)
+
+
+def _trial_sum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """np.einsum for a 2-D output "...t", trials last in the last operand. numpy
+    iterates trials innermost, so a trial's terms add in axis order; a lone
+    trial would leave a summed axis innermost, so it runs trials-first."""
+    if operands[-1].shape[-1] > 1:
+        return np.einsum(subscripts, *operands)
+    inputs, output = subscripts.split("->")
+    return np.einsum(f"{inputs}->t{output[0]}", *operands, order="F").T
 
 
 def _normalise(msg: np.ndarray) -> np.ndarray:
-    """Row-normalise; all-zero rows (total underflow) fall back to uniform."""
-    total = msg.sum(axis=1, keepdims=True)
-    safe = np.where(total > 0, total, 1.0)
-    out = msg / safe
-    out[np.squeeze(total, axis=1) <= 0] = 1.0 / msg.shape[1]
-    return out
+    """Normalise (X, M, T) messages over the alphabet axis M; columns that
+    sum to 0 (total underflow) fall back to uniform."""
+    total = _trial_sum("xmt->xt", msg)[:, None]
+    if (total > 0).all():
+        return msg / total
+    return np.where(total > 0, msg / np.where(total > 0, total, 1.0), 1.0 / msg.shape[1])
 
 
-def _exp_flushed(a: np.ndarray) -> np.ndarray:
+def _exp_flushed(a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """exp(a) in place, with every entry whose argument is below
     EXP_FLUSH_ARG (-inf included) set to an exact 0; exp itself only ever
-    sees arguments on its fast path."""
-    keep = a >= EXP_FLUSH_ARG
+    sees arguments on its fast path. A float `mask` holds the 0/1 keep mask."""
+    keep = np.greater_equal(a, EXP_FLUSH_ARG, out=mask)
     np.maximum(a, EXP_FLUSH_ARG, out=a)
     np.exp(a, out=a)
     a *= keep
     return a
 
 
+def _damped(new: np.ndarray, old: np.ndarray, damping: float) -> np.ndarray:
+    """(1 - damping) * new + damping * old; new itself when undamped."""
+    return (1.0 - damping) * new + damping * old if damping else new
+
+
 def _resource_tables(y, edge_values, res_edges, noise_var):
     """Per resource, exp(-(|y_k - s|^2 - min_s |y_k - s|^2) / noise_var) over
-    every sum s of its edges' values as a (T, A_1 * ... * A_{d-1}, A_d) array
-    in edge order, or None without edges; entries whose exp argument is below
-    EXP_FLUSH_ARG are 0. The first d - 1 edges fold into a complex residual
-    y_k - s; the energy against the last is real arithmetic.
+    every sum s of its edges' values as an (A_1 * ... * A_{d-1}, A_d, T)
+    array in edge order, or None without edges; entries whose exp argument is
+    below EXP_FLUSH_ARG are 0. The first d - 1 edges fold into a complex
+    residual y_k - s; the energy against the last is real arithmetic, its
+    imaginary part and then the flush mask in one scratch buffer per call.
     """
-    t_count = y.shape[0]
+    t_count = y.shape[-1]
+    sizes = [np.prod([len(edge_values[e]) for e in es], dtype=int) for es in res_edges]
+    scratch = np.empty(max(sizes) * t_count)
     tables = []
     for k, es in enumerate(res_edges):
         if not es:
             tables.append(None)
             continue
-        r = y[:, k, None]
+        r = y[k][None]
         for e in es[:-1]:
-            r = (r[:, :, None] - edge_values[e][:, None, :]).reshape(t_count, -1)
-        last = edge_values[es[-1]][:, None, :]
-        re = r.real[:, :, None] - last.real
-        im = r.imag[:, :, None] - last.imag
+            r = (r[:, None] - edge_values[e]).reshape(-1, t_count)
+        last = edge_values[es[-1]]
+        re = r.real[:, None] - last.real
+        im = scratch[: re.size].reshape(re.shape)
+        np.subtract(r.imag[:, None], last.imag, out=im)
         energy = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
-        energy -= energy.min(axis=(1, 2), keepdims=True)
+        energy -= energy.min(axis=(0, 1))
         energy /= -noise_var
-        tables.append(_exp_flushed(energy))
+        tables.append(_exp_flushed(energy, im))
     return tables
 
 
 def _leave_one_out(table, msgs):
-    """out[i][t, a_i]: the sum of table[t] over every axis but i, weighted by
-    the messages on those axes; table[t] holds the axes of msgs in order,
-    flattened in any way that keeps that order.
+    """out[i][a_i, t]: the sum of table[..., t] over every axis but i, weighted
+    by the messages on those axes; table holds the axes of msgs in order,
+    then trials, flattened in any way that keeps that order.
 
-    Two batched matmuls per level: the outer product of all but the last
+    Two contractions per level: the outer product of all but the last
     message against the table gives the last axis's output, and the table
-    times the last message drops that axis for the next level.
+    against the last message drops that axis for the next level.
     """
-    t_count = table.shape[0]
+    t_count = table.shape[-1]
     if len(msgs) == 1:
-        return [table.reshape(t_count, -1)]
+        return [table.reshape(-1, t_count)]
     w = msgs[0]
     for m in msgs[1:-1]:
-        w = (w[:, :, None] * m[:, None, :]).reshape(t_count, -1)
-    g = table.reshape(t_count, w.shape[1], -1)
-    last = (w[:, None, :] @ g)[:, 0]
-    return _leave_one_out(g @ msgs[-1][:, :, None], msgs[:-1]) + [last]
+        w = (w[:, None] * m).reshape(-1, t_count)
+    g = table.reshape(len(w), -1, t_count)
+    last = _trial_sum("pat,pt->at", g, w)
+    rest = _trial_sum("pat,at->pt", g, msgs[-1])
+    return _leave_one_out(rest, msgs[:-1]) + [last]
 
 
 def _run_mpa(
@@ -169,45 +189,35 @@ def _run_mpa(
     damping: float,
 ):
     """Flooding sum-product over precomputed per-edge value tables; returns
-    the (T, J, alphabet) marginals.
+    the (J, alphabet, T) marginals.
 
-    y is (T, K), real or complex; edge_values[e] is (T, A_e) with the
+    y is (K, T), real or complex; edge_values[e] is (A_e, T) with the
     channel already folded in. When edge_proj[e] is not None the edge works
-    on A_e merged projections and edge_proj[e] is the (alphabet, A_e)
+    on A_e merged projections and edge_proj[e] is the (A_e, alphabet)
     indicator of each symbol's projection; messages still live on the full
     alphabet, summed onto the projections on the way into a resource.
+    Messages are (E, alphabet, T); lay_edges holds each layer's N edges.
     """
-    t_count = y.shape[0]
-    n_edges = len(edge_values)
-    uniform = np.full((t_count, alphabet), 1.0 / alphabet)
-    l2r = [uniform.copy() for _ in range(n_edges)]
-    r2l = [uniform.copy() for _ in range(n_edges)]
+    t_count = y.shape[-1]
+    l2r = r2l = np.full((len(edge_values), alphabet, t_count), 1.0 / alphabet)
     tables = _resource_tables(y, edge_values, res_edges, noise_var)
-
+    n = lay_edges.shape[1]  # others[i]: the positions of a layer's edges but its i-th
+    others = [[i2 for i2 in range(n) if i2 != i] for i in range(n)]
+    out = np.empty_like(r2l)
     for _ in range(max_iter):
         for k, es in enumerate(res_edges):
             if tables[k] is None:
                 continue
             proj = [edge_proj[e] for e in es]
-            incoming = [l2r[e] if p is None else l2r[e] @ p for e, p in zip(es, proj)]
-            outs = _leave_one_out(tables[k], incoming)
-            for e, p, out in zip(es, proj, outs):
-                if p is not None:
-                    out = out @ p.T
-                r2l[e] = (1.0 - damping) * _normalise(out) + damping * r2l[e]
-        for es in lay_edges:
-            for e in es:
-                prod = np.ones((t_count, alphabet))
-                for e2 in es:
-                    if e2 != e:
-                        prod = prod * r2l[e2]
-                l2r[e] = (1.0 - damping) * _normalise(prod) + damping * l2r[e]
+            incoming = [m if p is None else _trial_sum("am,mt->at", p, m)
+                        for p, m in zip(proj, l2r[es])]
+            for e, p, o in zip(es, proj, _leave_one_out(tables[k], incoming)):
+                out[e] = o if p is None else p.T @ o
+        r2l = _damped(_normalise(out), r2l, damping)
+        out[lay_edges] = r2l[lay_edges[:, others]].prod(axis=2)
+        l2r = _damped(_normalise(out), l2r, damping)
 
-    marginals = np.ones((t_count, len(lay_edges), alphabet))
-    for j, es in enumerate(lay_edges):
-        for e in es:
-            marginals[:, j, :] *= r2l[e]
-    return _normalise(marginals.reshape(-1, alphabet)).reshape(marginals.shape)
+    return _normalise(r2l[lay_edges].prod(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +243,21 @@ def batch_mpa(
     y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
     gains = np.asarray(gains, dtype=np.complex128)
     edges, res_edges, lay_edges = _edges(system)
-    # (T, A_e) value table of every edge with the channel folded in, and its
-    # symbol-to-value indicator (None without `tables`)
+    # (A_e, T) value table of every edge with the channel folded in, and its
+    # value-by-symbol indicator (None without `tables`)
     edge_values, edge_proj = [], []
     for k, j in edges:
         if tables is None:
             vals, proj = system.codebooks[j].codewords[:, k], None
         else:
             vals, idx = tables.tables[(k, j)]
-            proj = np.eye(len(vals))[idx]
-        edge_values.append(gains[:, j, k][:, None] * vals[None, :])
+            proj = np.eye(len(vals))[:, idx]
+        edge_values.append(gains[:, j, k] * vals[:, None])
         edge_proj.append(proj)
     return _run_mpa(
-        y, edge_values, edge_proj, res_edges, lay_edges,
+        y.T, edge_values, edge_proj, res_edges, lay_edges,
         system.alphabet_size, noise_var, max_iter, damping,
-    )
+    ).transpose(2, 0, 1)
 
 
 def batch_map(
@@ -346,17 +356,17 @@ def batch_split(
             local = system.codebooks[j].support.index(k)
             sign = system.operators[j].phases[local].real
             col = sign * points[:, local]
-            vals.append(gains[:, j, k].real[:, None] * col[None, :])
+            vals.append(gains[:, j, k].real * col[:, None])
         return _run_mpa(
-            y_part, vals, [None] * len(edges), res_edges, lay_edges,
+            y_part.T, vals, [None] * len(edges), res_edges, lay_edges,
             alphabet, noise_var, max_iter, 0.0,
         )
 
     marg_re = half(mother.real_points, y.real, m_u)
     marg_im = half(mother.imag_points, y.imag, m_v)
-    combined = np.einsum("tjp,tjq->tjpq", marg_re, marg_im)
-    combined = combined.reshape(y.shape[0], system.n_layers, m_u * m_v)
-    return combined / combined.sum(axis=2, keepdims=True)
+    combined = marg_re[:, :, None] * marg_im[:, None]
+    combined = combined.reshape(system.n_layers, m_u * m_v, y.shape[0])
+    return _normalise(combined).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -229,35 +229,45 @@ def test_mpa_exact_on_cycle_free_graphs(n_layers):
         assert np.abs(mpa - exact).max() <= 1e-9
 
 
+def pinned(scheme, n_res, n_layers, m, collapsed, trials=16):
+    """A PINNED_SYSTEMS row; its id names K only where it is not 4 and the
+    trial count only where it is not 16."""
+    k = "" if n_res == 4 else f"K{n_res}-"
+    t = "" if trials == 16 else f"-T{trials}"
+    return pytest.param(
+        scheme, n_res, n_layers, m, collapsed, trials,
+        id=f"{scheme}-{k}{n_layers}-{m}-{collapsed}{t}",
+    )
+
+
 PINNED_SYSTEMS = [
-    ("4pt", 4, 6, 4, False),
-    ("lds", 4, 6, 4, False),
-    ("lowproj", 4, 6, 16, False),
-    ("lowproj", 4, 6, 16, True),
-    ("t16", 4, 2, 16, False),
-    ("4pt", 4, 4, 4, False),  # partial load: resource degrees 2
-    ("4pt", 4, 3, 4, False),  # resource degrees 2, 1, 2, 1
-    ("4pt", 4, 5, 4, False),  # resource degrees 3, 2, 2, 3
-    ("lds", 5, 10, 4, False),  # resource degree 4
+    pinned("4pt", 4, 6, 4, False),
+    pinned("lds", 4, 6, 4, False),
+    pinned("lowproj", 4, 6, 16, False),
+    pinned("lowproj", 4, 6, 16, True),
+    pinned("t16", 4, 2, 16, False),
+    pinned("4pt", 4, 4, 4, False),  # partial load: resource degrees 2
+    pinned("4pt", 4, 3, 4, False),  # resource degrees 2, 1, 2, 1
+    pinned("4pt", 4, 5, 4, False),  # resource degrees 3, 2, 2, 3
+    pinned("lds", 5, 10, 4, False),  # resource degree 4
+    # one trial, and one past a power of two, with trials the last axis
+    pinned("4pt", 4, 6, 4, False, 1),
+    pinned("4pt", 4, 6, 4, False, 129),
+    pinned("lowproj", 4, 6, 16, True, 1),
+    pinned("lowproj", 4, 6, 16, True, 129),
 ]
 
 
 @pytest.mark.parametrize("damping", [0.0, 0.3])
 @pytest.mark.parametrize("mode", ["awgn", "uplink_rayleigh"])
-@pytest.mark.parametrize(
-    "scheme,n_res,n_layers,m,collapsed",
-    PINNED_SYSTEMS,
-    # ids name K only where it is not 4
-    ids=[f"{s}-{j}-{m}-{c}" if k == 4 else f"{s}-K{k}-{j}-{m}-{c}"
-         for s, k, j, m, c in PINNED_SYSTEMS],
-)
+@pytest.mark.parametrize("scheme,n_res,n_layers,m,collapsed,trials", PINNED_SYSTEMS)
 def test_batch_mpa_matches_reference_kernel(
-    scheme, n_res, n_layers, m, collapsed, mode, damping
+    scheme, n_res, n_layers, m, collapsed, trials, mode, damping
 ):
     system = build_named_system(scheme, n_res, 2, n_layers, m)
     tables = collapse_projections(system) if collapsed else None
     rng = np.random.default_rng(30)
-    y, gains, nv = random_batch(system, 8.0, rng, mode, 16)
+    y, gains, nv = random_batch(system, 8.0, rng, mode, trials)
     got = batch_mpa(y, gains, system, nv, 4, damping, tables)
     want = reference_mpa(y, gains, system, nv, 4, damping, tables)
     assert np.abs(got - want).max() <= 1e-9
@@ -293,6 +303,20 @@ def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     assert (entries == 0).mean() > 0.1
     assert ((entries == 0) | (entries >= np.finfo(float).tiny)).all()
     assert np.abs(got - reference_mpa(y, gains, system, nv, 4)).max() <= 1e-9
+
+
+def test_normalise_falls_back_to_uniform_only_on_empty_columns():
+    rng = np.random.default_rng(70)
+    msg = rng.random((3, 16, 5))
+    assert np.array_equal(mpa_detector._normalise(msg), msg / msg.sum(axis=1, keepdims=True))
+    msg[1, :, 2] = 0.0
+    got = mpa_detector._normalise(msg)
+    assert (got[1, :, 2] == 1 / 16).all()
+    full = np.ones(msg.shape, dtype=bool)
+    full[1, :, 2] = False
+    with np.errstate(invalid="ignore"):
+        want = msg / msg.sum(axis=1, keepdims=True)
+    assert np.array_equal(got[full], want[full])
 
 
 def test_exp_flushed_is_exp_or_exact_zero():
