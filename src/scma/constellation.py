@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -305,17 +304,13 @@ def _gray_labels(m_u: int, m_v: int) -> np.ndarray:
     return labels
 
 
-def shuffle_construct(
-    u: RealConstellation,
-    v: RealConstellation,
-    labeling_rule: Callable[[int, int], np.ndarray] | None = None,
-) -> MotherConstellation:
+def shuffle_construct(u: RealConstellation, v: RealConstellation) -> MotherConstellation:
     """Interleave two real constellations as real and imaginary parts.
 
     Point (p, q) has coordinate n equal to u[p][n] + 1j * v[q][n]; the
     result is scaled to unit average energy. Labels put the bits selecting
     p ahead of the bits selecting q, each Gray-coded over construction
-    order (override via labeling_rule(m_u, m_v) -> labels).
+    order.
     """
     if u.n_dims != v.n_dims:
         raise ValueError("real and imaginary parts need equal dimension counts")
@@ -325,10 +320,9 @@ def shuffle_construct(
         raise ValueError(f"combined size must be a power of two >= 2, got {m}")
     pts = (u.points[:, None, :] + 1j * v.points[None, :, :]).reshape(m, u.n_dims)
     scale = 1.0 / math.sqrt(float(np.mean(np.sum(np.abs(pts) ** 2, axis=1))))
-    labels = _gray_labels(m_u, m_v) if labeling_rule is None else labeling_rule(m_u, m_v)
     return MotherConstellation(
         pts * scale,
-        labels,
+        _gray_labels(m_u, m_v),
         real_points=u.points * scale,
         imag_points=v.points * scale,
     )

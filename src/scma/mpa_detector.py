@@ -18,7 +18,6 @@ from .constellation import PROJECTION_MERGE_TOL, merge_values
 
 __all__ = [
     "DetectionResult",
-    "ProjectionTables",
     "ComplexityReport",
     "mpa_detect",
     "map_joint_oracle",
@@ -45,22 +44,6 @@ class DetectionResult:
     hard_symbols: np.ndarray  # (J,) argmax indices, ties -> lowest index
     bits: np.ndarray  # (J, log2 M) decoded label bits, MSB first
     iterations_run: int
-
-
-@dataclass(frozen=True)
-class ProjectionTables:
-    """Distinct per-resource codeword values of every edge.
-
-    tables[(k, j)] = (values, index) with values the distinct projections
-    of layer j's codewords on resource k and index the alphabet-to-value
-    map; symbols sharing a projection are interchangeable inside that
-    resource update, so their message mass can be aggregated.
-    """
-
-    tables: dict
-
-    def counts(self, k: int, j: int) -> int:
-        return len(self.tables[(k, j)][0])
 
 
 @dataclass(frozen=True)
@@ -91,20 +74,10 @@ def _edges(system: ScmaSystem):
     return edges, res_edges, np.array(lay_edges)
 
 
-def _trial_sum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """np.einsum for a 2-D output "...t", trials last in the last operand. numpy
-    iterates trials innermost, so a trial's terms add in axis order; a lone
-    trial would leave a summed axis innermost, so it runs trials-first."""
-    if operands[-1].shape[-1] > 1:
-        return np.einsum(subscripts, *operands)
-    inputs, output = subscripts.split("->")
-    return np.einsum(f"{inputs}->t{output[0]}", *operands, order="F").T
-
-
 def _normalise(msg: np.ndarray) -> np.ndarray:
     """Normalise (X, M, T) messages over the alphabet axis M; columns that
     sum to 0 (total underflow) fall back to uniform."""
-    total = _trial_sum("xmt->xt", msg)[:, None]
+    total = np.einsum("xmt->xt", msg)[:, None]
     if (total > 0).all():
         return msg / total
     return np.where(total > 0, msg / np.where(total > 0, total, 1.0), 1.0 / msg.shape[1])
@@ -172,8 +145,8 @@ def _leave_one_out(table, msgs):
     for m in msgs[1:-1]:
         w = (w[:, None] * m).reshape(-1, t_count)
     g = table.reshape(len(w), -1, t_count)
-    last = _trial_sum("pat,pt->at", g, w)
-    rest = _trial_sum("pat,at->pt", g, msgs[-1])
+    last = np.einsum("pat,pt->at", g, w)
+    rest = np.einsum("pat,at->pt", g, msgs[-1])
     return _leave_one_out(rest, msgs[:-1]) + [last]
 
 
@@ -209,7 +182,7 @@ def _run_mpa(
             if tables[k] is None:
                 continue
             proj = [edge_proj[e] for e in es]
-            incoming = [m if p is None else _trial_sum("am,mt->at", p, m)
+            incoming = [m if p is None else np.einsum("am,mt->at", p, m)
                         for p, m in zip(proj, l2r[es])]
             for e, p, o in zip(es, proj, _leave_one_out(tables[k], incoming)):
                 out[e] = o if p is None else p.T @ o
@@ -224,6 +197,32 @@ def _run_mpa(
 # public batched engines (leading trial axis)
 
 
+def _trial_slices(body, y, gains, step: int | None = None) -> np.ndarray:
+    """(T, J, M) marginals of an engine whose body(y, gains) maps the (K, T)
+    received values and (T, J, K) gains of a slice of at most `step` trials
+    (all of them by default) to their (J, M, T) marginals.
+
+    numpy runs a body's sums with the trial axis innermost, so a trial's
+    terms add in axis order and get the same bits at any call size; a lone
+    trial would leave a summed axis innermost, so a one-trial slice runs as
+    two copies of it, unless every slice holds one trial. The result is
+    C-ordered, so that a caller's sums over M run along M at any call size.
+    """
+    y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
+    gains = np.asarray(gains, dtype=np.complex128)
+    if not len(y):
+        raise ValueError("detection needs at least one trial")
+    step = step or len(y) + 1
+    parts = []
+    for lo in range(0, len(y), step):
+        y_s, g_s = y[lo : lo + step], gains[lo : lo + step]
+        n = len(y_s)
+        if n == 1 < step:
+            y_s, g_s = y_s[[0, 0]], g_s[[0, 0]]
+        parts.append(body(y_s.T, g_s)[..., :n])
+    return np.concatenate(parts, axis=2).transpose(2, 0, 1).copy()
+
+
 def batch_mpa(
     y: np.ndarray,
     gains: np.ndarray,
@@ -231,7 +230,7 @@ def batch_mpa(
     noise_var: float,
     max_iter: int = 8,
     damping: float = 0.0,
-    tables: ProjectionTables | None = None,
+    tables: dict | None = None,
 ):
     """MPA marginals for a stack of trials; returns (T, J, M).
 
@@ -240,24 +239,26 @@ def batch_mpa(
     projections instead of raw symbols, which changes nothing but cost.
     """
     _check_detect_args(noise_var, max_iter, damping)
-    y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
-    gains = np.asarray(gains, dtype=np.complex128)
     edges, res_edges, lay_edges = _edges(system)
-    # (A_e, T) value table of every edge with the channel folded in, and its
-    # value-by-symbol indicator (None without `tables`)
-    edge_values, edge_proj = [], []
-    for k, j in edges:
-        if tables is None:
-            vals, proj = system.codebooks[j].codewords[:, k], None
-        else:
-            vals, idx = tables.tables[(k, j)]
-            proj = np.eye(len(vals))[:, idx]
-        edge_values.append(gains[:, j, k] * vals[:, None])
-        edge_proj.append(proj)
-    return _run_mpa(
-        y.T, edge_values, edge_proj, res_edges, lay_edges,
-        system.alphabet_size, noise_var, max_iter, damping,
-    ).transpose(2, 0, 1)
+
+    def body(y, gains):
+        # (A_e, T) value table of every edge with the channel folded in, and
+        # its value-by-symbol indicator (None without `tables`)
+        edge_values, edge_proj = [], []
+        for k, j in edges:
+            if tables is None:
+                vals, proj = system.codebooks[j].codewords[:, k], None
+            else:
+                vals, idx = tables[(k, j)]
+                proj = np.eye(len(vals))[:, idx]
+            edge_values.append(gains[:, j, k] * vals[:, None])
+            edge_proj.append(proj)
+        return _run_mpa(
+            y, edge_values, edge_proj, res_edges, lay_edges,
+            system.alphabet_size, noise_var, max_iter, damping,
+        )
+
+    return _trial_slices(body, y, gains)
 
 
 def batch_map(
@@ -273,35 +274,29 @@ def batch_map(
     and over the first half of the layer axes; each layer's marginal is read
     off the small sum that keeps its axis.
     """
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
+    _check_detect_args(noise_var, 1, 0.0)
     m, j_count = system.alphabet_size, system.n_layers
     total = m**j_count
     if total > MAX_JOINT_HYPOTHESES:
         raise ValueError(
             f"M**J = {total} exceeds the enumeration cap {MAX_JOINT_HYPOTHESES}"
         )
-    y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
-    gains = np.asarray(gains, dtype=np.complex128)
-    t_count, k_count = y.shape
     layer_axes = tuple(range(j_count))
     half = j_count // 2
     # (axes summed out of the table, layers whose axes the sum keeps)
     halves = [(layer_axes[half:], range(half)), (layer_axes[:half], range(half, j_count))]
-    step = max(1, MAX_JOINT_HYPOTHESES // total)
-    marginals = np.empty((t_count, j_count, m))
-    for lo in range(0, t_count, step):
-        y_s, g_s = y[lo : lo + step], gains[lo : lo + step]
-        t_s = y_s.shape[0]
+
+    def body(y, gains):
+        t_s = y.shape[1]
         ll = np.empty((m,) * j_count + (t_s,))
-        for k in range(k_count):
+        for k in range(system.n_resources):
             s = 0j
             for j in system.graph.layers_at(k):
                 shape = [1] * j_count + [t_s]
                 shape[j] = m
-                vals = system.codebooks[j].codewords[:, k, None] * g_s[:, j, k]
+                vals = system.codebooks[j].codewords[:, k, None] * gains[:, j, k]
                 s = s + vals.reshape(shape)
-            r = y_s[:, k] - s
+            r = y[k] - s
             # scaled while the term still spans only the layers at k
             term = np.square(r.real) + np.square(r.imag)
             term /= -noise_var
@@ -313,13 +308,17 @@ def batch_map(
         # all of a trial's hypotheses
         ll -= ll.max(axis=layer_axes)
         w = _exp_flushed(ll)
+        marginals = np.empty((j_count, m, t_s))
         for summed, kept in halves:
             if not kept:
                 continue
             part = w.sum(axis=summed)
             for i, j in enumerate(kept):
                 others = tuple(a for a in range(len(kept)) if a != i)
-                marginals[lo : lo + t_s, j] = part.sum(axis=others).T
+                marginals[j] = part.sum(axis=others)
+        return marginals
+
+    marginals = _trial_slices(body, y, gains, max(1, MAX_JOINT_HYPOTHESES // total))
     return marginals / marginals.sum(axis=2, keepdims=True)
 
 
@@ -338,19 +337,12 @@ def batch_split(
     real Gaussian of variance noise_var / 2.
     """
     _check_detect_args(noise_var, max_iter, 0.0)
-    y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
-    gains = np.asarray(gains, dtype=np.complex128)
     mother = system.mother
     if not system.is_separable:
         raise ValueError("split detection needs a separable mother and +-1 phases")
-    if np.abs(gains.imag).max() > 1e-12:
-        raise ValueError("split detection needs real channel gains")
-
-    m_u = mother.real_points.shape[0]
-    m_v = mother.imag_points.shape[0]
     edges, res_edges, lay_edges = _edges(system)
 
-    def half(points: np.ndarray, y_part: np.ndarray, alphabet: int) -> np.ndarray:
+    def half(points: np.ndarray, y_part: np.ndarray, gains: np.ndarray) -> np.ndarray:
         vals = []
         for k, j in edges:
             local = system.codebooks[j].support.index(k)
@@ -358,15 +350,19 @@ def batch_split(
             col = sign * points[:, local]
             vals.append(gains[:, j, k].real * col[:, None])
         return _run_mpa(
-            y_part.T, vals, [None] * len(edges), res_edges, lay_edges,
-            alphabet, noise_var, max_iter, 0.0,
+            y_part, vals, [None] * len(edges), res_edges, lay_edges,
+            len(points), noise_var, max_iter, 0.0,
         )
 
-    marg_re = half(mother.real_points, y.real, m_u)
-    marg_im = half(mother.imag_points, y.imag, m_v)
-    combined = marg_re[:, :, None] * marg_im[:, None]
-    combined = combined.reshape(system.n_layers, m_u * m_v, y.shape[0])
-    return _normalise(combined).transpose(2, 0, 1)
+    def body(y, gains):
+        if np.abs(gains.imag).max() > 1e-12:
+            raise ValueError("split detection needs real channel gains")
+        marg_re = half(mother.real_points, y.real, gains)
+        marg_im = half(mother.imag_points, y.imag, gains)
+        combined = marg_re[:, :, None] * marg_im[:, None]
+        return _normalise(combined.reshape(system.n_layers, -1, y.shape[1]))
+
+    return _trial_slices(body, y, gains)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +386,6 @@ def _label_bits(labels: np.ndarray, n_bits: int) -> np.ndarray:
 def _detect_one(batch, iters, y, system, channel, noise_var, *args) -> DetectionResult:
     """Run the batch engine `batch` on one received vector and read off the
     decisions; `args` follow noise_var in the engine's signature."""
-    y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
     marginals = batch(y, channel.gains[None], system, noise_var, *args)[0]
     hard = marginals.argmax(axis=1)
     labels = system.mother.labels[hard]
@@ -405,7 +400,7 @@ def mpa_detect(
     noise_var: float,
     max_iter: int = 8,
     damping: float = 0.0,
-    tables: ProjectionTables | None = None,
+    tables: dict | None = None,
 ) -> DetectionResult:
     """Sum-product detection of one received vector; see batch_mpa."""
     return _detect_one(
@@ -436,14 +431,18 @@ def split_detect(
 
 def collapse_projections(
     system: ScmaSystem, tol: float = PROJECTION_MERGE_TOL
-) -> ProjectionTables:
-    """Distinct projected codeword values per (resource, layer) edge."""
+) -> dict:
+    """Distinct projected codeword values per (resource, layer) edge, as
+    {(k, j): (values, index)}: values are the distinct projections of layer
+    j's codewords on resource k and index maps each symbol to its value.
+    Symbols sharing a projection are interchangeable inside that resource
+    update, so their message mass can be aggregated."""
     tables = {}
     for k in range(system.n_resources):
         for j in system.graph.layers_at(k):
             vals, idx = merge_values(system.codebooks[j].codewords[:, k], tol)
             tables[(k, j)] = (vals, idx)
-    return ProjectionTables(tables)
+    return tables
 
 
 def complexity_report(system: ScmaSystem) -> ComplexityReport:
@@ -456,7 +455,7 @@ def complexity_report(system: ScmaSystem) -> ComplexityReport:
     for k in range(system.n_resources):
         count = 1
         for j in system.graph.layers_at(k):
-            count *= tables.counts(k, j)
+            count *= len(tables[(k, j)][0])
         collapsed.append(count)
     split = None
     if system.is_separable:

@@ -291,16 +291,18 @@ def test_windows_do_not_change_points(monkeypatch, case, workers):
     assert windowed.points == blockwise.points
 
 
-# 16-symbol messages, and collapsed edges summing several symbols each
-LOWPROJ_CASES = [
+# 16-symbol messages, collapsed edges summing several symbols each, and
+# batch_map slices of 16 trials
+EXTRA_CASES = [
     dict(design="lowproj", M=16, engine="mpa"),
     dict(design="lowproj", M=16, engine="mpa_collapsed"),
+    dict(design="t16", J=4, M=16, engine="map_oracle"),
 ]
 
 
 @pytest.mark.parametrize(
-    "case", WINDOW_CASES + LOWPROJ_CASES,
-    ids=lambda c: f"lowproj-{c['engine']}" if c["design"] == "lowproj" else c["engine"],
+    "case", WINDOW_CASES + EXTRA_CASES,
+    ids=lambda c: c["engine"] if c in WINDOW_CASES else f"{c['design']}-{c['engine']}",
 )
 def test_detectors_give_same_marginals_on_concatenated_blocks(case):
     # windows rely on every engine treating trials independently, bit for bit
@@ -309,11 +311,10 @@ def test_detectors_give_same_marginals_on_concatenated_blocks(case):
     tables = collapse_projections(system) if config.engine == "mpa_collapsed" else None
     rng = np.random.default_rng(11)
     blocks = []
-    # a lone trial and 129 trials leave the MPA kernel's last (trial) axis
-    # trivial or odd in length; batch_map still sums a lone trial's table in
-    # another order, so it gets no 1-trial block
-    sizes = (128, 128, 40, 129) + ((1,) if config.engine != "map_oracle" else ())
-    for size in sizes:
+    # a lone trial and 129 trials leave the kernels' last (trial) axis
+    # trivial or odd in length; 17 trials leave t16 J=4 batch_map a
+    # one-trial tail slice
+    for size in (128, 128, 40, 129, 17, 1):
         tx = rng.integers(0, config.M, (size, config.J))
         cw = np.stack([system.codebooks[j].codewords[tx[:, j]]
                        for j in range(config.J)], axis=1)
