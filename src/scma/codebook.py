@@ -54,10 +54,10 @@ class LayerOperator:
         ph = np.array(self.phases, dtype=np.complex128)
         if ph.ndim != 1:
             raise ValueError("phases must be a 1-D vector")
-        if np.abs(np.abs(ph) - 1.0).max() > UNIT_PHASE_TOL:
+        if not np.abs(np.abs(ph) - 1.0).max() <= UNIT_PHASE_TOL:
             raise ValueError("phases must have unit modulus")
-        if self.power_scale <= 0:
-            raise ValueError("power_scale must be positive")
+        if not 0 < self.power_scale < math.inf:
+            raise ValueError("power_scale must be positive and finite")
         ph.setflags(write=False)
         object.__setattr__(self, "phases", ph)
 
@@ -82,10 +82,12 @@ class Codebook:
     def __post_init__(self) -> None:
         cw = np.array(self.codewords, dtype=np.complex128)
         labels = np.array(self.labels, dtype=np.int64)
-        if cw.ndim != 2:
-            raise ValueError("codewords must be a 2-D array")
+        if cw.ndim != 2 or cw.shape[1] != self.mapping.n_resources:
+            raise ValueError("codewords must be a 2-D array with one column per resource")
+        if not np.isfinite(cw).all():
+            raise ValueError("codewords must be finite")
         off = [k for k in range(cw.shape[1]) if k not in self.mapping.support]
-        if off and np.abs(cw[:, off]).max() > 1e-12:
+        if off and not np.abs(cw[:, off]).max() <= 1e-12:
             raise ValueError("codewords must vanish outside the layer support")
         cw.setflags(write=False)
         labels.setflags(write=False)
@@ -123,7 +125,7 @@ class ScmaSystem:
             if cb.support != self.graph.signature(j).support:
                 raise ValueError(f"codebook {j} support disagrees with the graph")
             energy = float(np.mean(np.sum(np.abs(cb.codewords) ** 2, axis=1)))
-            if abs(energy - 1.0) > 1e-9:
+            if not abs(energy - 1.0) <= 1e-9:
                 raise ValueError(f"layer {j} average energy {energy} != 1")
 
     @property
@@ -205,7 +207,7 @@ def build_system(
     """Assemble graph, phase signatures and codebooks for J layers."""
     if mother.n_dims != n_active:
         raise ValueError("mother constellation dimension count must equal N")
-    if abs(mother.energy - 1.0) > ENERGY_TOL:
+    if not abs(mother.energy - 1.0) <= ENERGY_TOL:
         raise ValueError("mother constellation must have unit average energy")
     graph = build_subgraph(n_resources, n_active, n_layers)
     operators = lds_phase_signatures(graph)

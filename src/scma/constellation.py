@@ -53,6 +53,7 @@ FOUR_POINT_ANGLE = math.atan(0.4)
 PROJECTION_MERGE_TOL = 1e-6
 COORD_DIFF_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
+SEPARABLE_TOL = 1e-9  # largest gap between a point and its recorded parts
 
 
 @dataclass(frozen=True)
@@ -103,27 +104,40 @@ class MotherConstellation:
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=np.complex128)
         labels = np.array(self.labels, dtype=np.int64)
-        m = pts.shape[0]
-        if pts.ndim != 2 or m < 2:
+        if pts.ndim != 2 or len(pts) < 2:
             raise ValueError("need at least two points in a 2-D array")
+        m = len(pts)
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         if m & (m - 1):
             raise ValueError(f"point count must be a power of two, got {m}")
         if sorted(labels.tolist()) != list(range(m)):
             raise ValueError("labels must be a bijection onto range(M)")
         d = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
         np.fill_diagonal(d, np.inf)
-        if d.min() <= 1e-12:
+        if not d.min() > 1e-12:
             raise ValueError("points must be distinct")
         pts.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labels)
-        for name in ("real_points", "imag_points"):
-            part = getattr(self, name)
-            if part is not None:
-                part = np.array(part, dtype=np.float64)
-                part.setflags(write=False)
-                object.__setattr__(self, name, part)
+        parts = (self.real_points, self.imag_points)
+        missing = [part is None for part in parts]
+        if all(missing):
+            return
+        if any(missing):
+            raise ValueError("real_points and imag_points come together")
+        re, im = (np.array(part, dtype=np.float64) for part in parts)
+        if not (re.ndim == im.ndim == 2 and re.shape[1] == im.shape[1] == pts.shape[1]):
+            raise ValueError("separable parts must be 2-D with one column per dimension")
+        if len(re) * len(im) != m or not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValueError("separable parts must be finite, one pair per point")
+        joined = (re[:, None, :] + 1j * im[None, :, :]).reshape(pts.shape)
+        if not np.abs(joined - pts).max() <= SEPARABLE_TOL:
+            raise ValueError("point (p, q) must equal real_points[p] + 1j * imag_points[q]")
+        for name, part in zip(("real_points", "imag_points"), (re, im)):
+            part.setflags(write=False)
+            object.__setattr__(self, name, part)
 
     @property
     def size(self) -> int:

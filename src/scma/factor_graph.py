@@ -95,11 +95,12 @@ class FactorGraph:
     n_active: int
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.uint8)
+        m = np.asarray(self.matrix)
         if m.ndim != 2:
             raise ValueError("factor graph matrix must be 2-D")
         if np.any((m != 0) & (m != 1)):
             raise ValueError("factor graph entries must be 0 or 1")
+        m = m.astype(np.uint8)
         if np.any(m.sum(axis=0) != self.n_active):
             raise ValueError("every column must have exactly N ones")
         cols = {tuple(int(v) for v in m[:, j]) for j in range(m.shape[1])}

@@ -8,6 +8,8 @@ variant and a real/imaginary split variant share its machinery.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +32,15 @@ __all__ = [
 ]
 
 MAX_JOINT_HYPOTHESES = 1 << 20
-# exp arguments below this give an exact 0. numpy's SIMD exp leaves its fast
-# path below about -707.7 (near the smallest normal float, exp(-708.4)) and
-# for -inf, and subnormal table entries would slow the matmuls over them.
-EXP_FLUSH_ARG = -707.0
+# exp arguments below this give an exact 0, so exp only sees arguments on
+# numpy's SIMD fast path (it leaves it below about -707.7 and for -inf). The
+# cut sits just above ln(2**-511), so a nonzero table entry times any message
+# entry of at least 2**-511 is a normal float: subnormal products would cost
+# a microcode assist each in the contractions over the tables.
+EXP_FLUSH_ARG = -354.0
+# table entries per trial in one row block: 512 KB of float64 at 128 trials,
+# so a block is still in L2 when the next pass over it runs
+ROW_BLOCK_ENTRIES = 512
 
 
 @dataclass(frozen=True)
@@ -99,17 +106,32 @@ def _damped(new: np.ndarray, old: np.ndarray, damping: float) -> np.ndarray:
     return (1.0 - damping) * new + damping * old if damping else new
 
 
+@functools.cache
+def _row_blocks(rows: int, cols: int) -> tuple[slice, ...]:
+    """Slices of at most ROW_BLOCK_ENTRIES // cols rows (at least one) that
+    cover the rows of a (rows, cols, T) table in order. They depend on the
+    table's shape only, never on T, so a trial's sums add in the same order
+    at any call size; a table of at most ROW_BLOCK_ENTRIES entries per trial
+    is one block."""
+    step = max(1, ROW_BLOCK_ENTRIES // cols)
+    return tuple(slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
 def _resource_tables(y, edge_values, res_edges, noise_var):
     """Per resource, exp(-(|y_k - s|^2 - min_s |y_k - s|^2) / noise_var) over
     every sum s of its edges' values as an (A_1 * ... * A_{d-1}, A_d, T)
     array in edge order, or None without edges; entries whose exp argument is
     below EXP_FLUSH_ARG are 0. The first d - 1 edges fold into a complex
-    residual y_k - s; the energy against the last is real arithmetic, its
-    imaginary part and then the flush mask in one scratch buffer per call.
+    residual y_k - s; the energy against the last is real arithmetic.
+
+    A table is built in row blocks, in two passes: the first forms each
+    block's energy and keeps a running per-trial minimum, the second shifts,
+    scales and flushes each block. The imaginary part and then the flush
+    mask of a block live in one scratch buffer per call, the size of the
+    largest block.
     """
     t_count = y.shape[-1]
-    sizes = [np.prod([len(edge_values[e]) for e in es], dtype=int) for es in res_edges]
-    scratch = np.empty(max(sizes) * t_count)
+    scratch = np.empty(0)
     tables = []
     for k, es in enumerate(res_edges):
         if not es:
@@ -119,13 +141,24 @@ def _resource_tables(y, edge_values, res_edges, noise_var):
         for e in es[:-1]:
             r = (r[:, None] - edge_values[e]).reshape(-1, t_count)
         last = edge_values[es[-1]]
-        re = r.real[:, None] - last.real
-        im = scratch[: re.size].reshape(re.shape)
-        np.subtract(r.imag[:, None], last.imag, out=im)
-        energy = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
-        energy -= energy.min(axis=(0, 1))
-        energy /= -noise_var
-        tables.append(_exp_flushed(energy, im))
+        table = np.empty((len(r), len(last), t_count))
+        blocks = _row_blocks(*table.shape[:2])
+        if scratch.size < table[blocks[0]].size:  # the first block is the largest
+            scratch = np.empty(table[blocks[0]].size)
+        low = None
+        for b in blocks:
+            re = np.subtract(r.real[b, None], last.real, out=table[b])
+            im = scratch[: re.size].reshape(re.shape)
+            np.subtract(r.imag[b, None], last.imag, out=im)
+            energy = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
+            least = energy.min(axis=(0, 1))
+            low = least if low is None else np.minimum(low, least, out=low)
+        for b in blocks:
+            energy = table[b]
+            energy -= low
+            energy /= -noise_var
+            _exp_flushed(energy, scratch[: energy.size].reshape(energy.shape))
+        tables.append(table)
     return tables
 
 
@@ -136,7 +169,9 @@ def _leave_one_out(table, msgs):
 
     Two contractions per level: the outer product of all but the last
     message against the table gives the last axis's output, and the table
-    against the last message drops that axis for the next level.
+    against the last message drops that axis for the next level. Both run
+    block by block over the table's rows, so the second reads a block from
+    cache.
     """
     t_count = table.shape[-1]
     if len(msgs) == 1:
@@ -145,8 +180,13 @@ def _leave_one_out(table, msgs):
     for m in msgs[1:-1]:
         w = (w[:, None] * m).reshape(-1, t_count)
     g = table.reshape(len(w), -1, t_count)
-    last = np.einsum("pat,pt->at", g, w)
-    rest = np.einsum("pat,at->pt", g, msgs[-1])
+    last, rest = None, []
+    for b in _row_blocks(*g.shape[:2]):
+        block = g[b]
+        part = np.einsum("pat,pt->at", block, w[b])
+        last = part if last is None else np.add(last, part, out=last)
+        rest.append(np.einsum("pat,at->pt", block, msgs[-1]))
+    rest = rest[0] if len(rest) == 1 else np.concatenate(rest)
     return _leave_one_out(rest, msgs[:-1]) + [last]
 
 
@@ -240,6 +280,9 @@ def batch_mpa(
     """
     _check_detect_args(noise_var, max_iter, damping)
     edges, res_edges, lay_edges = _edges(system)
+    # per edge, the symbols or merged projections a resource enumerates
+    widths = [system.alphabet_size if tables is None else len(tables[e][0]) for e in edges]
+    _check_table_entries(math.prod(widths[e] for e in es) for es in res_edges)
 
     def body(y, gains):
         # (A_e, T) value table of every edge with the channel folded in, and
@@ -341,6 +384,8 @@ def batch_split(
     if not system.is_separable:
         raise ValueError("split detection needs a separable mother and +-1 phases")
     edges, res_edges, lay_edges = _edges(system)
+    m_u, m_v = len(mother.real_points), len(mother.imag_points)
+    _check_table_entries(m_u ** len(es) + m_v ** len(es) for es in res_edges)
 
     def half(points: np.ndarray, y_part: np.ndarray, gains: np.ndarray) -> np.ndarray:
         vals = []
@@ -376,6 +421,17 @@ def _check_detect_args(noise_var: float, max_iter: int, damping: float) -> None:
         raise ValueError("max_iter must be at least 1")
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
+
+
+def _check_table_entries(counts) -> None:
+    """Reject a system whose likelihood tables hold more than
+    MAX_JOINT_HYPOTHESES entries for one trial, before any is built."""
+    total = sum(counts)
+    if total > MAX_JOINT_HYPOTHESES:
+        raise ValueError(
+            f"one trial's likelihood tables hold {total} entries, "
+            f"over the cap {MAX_JOINT_HYPOTHESES}"
+        )
 
 
 def _label_bits(labels: np.ndarray, n_bits: int) -> np.ndarray:

@@ -34,8 +34,31 @@ def _complex_out(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _complex_in(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=np.float64)
+def _numbers(value, where: str, kinds: str = "iuf") -> np.ndarray:
+    """value as a rectangular array of finite numbers of the given numpy
+    kinds; strings, nulls, objects, ragged lists, NaN and inf raise."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ValueError(f"{where} must be a rectangular array") from None
+    if arr.dtype.kind not in kinds:
+        raise ValueError(f"{where} must hold {'integers' if kinds == 'iu' else 'numbers'}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} must be finite")
+    return arr
+
+
+def _scalar(value, where: str, types=int):
+    """value itself when it is a JSON number of `types` (never a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{where} must be {'an integer' if types is int else 'a number'}")
+    return value
+
+
+def _complex_in(pairs, where: str) -> np.ndarray:
+    arr = _numbers(pairs, where).astype(np.float64)
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise ValueError(f"{where} must hold [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -76,23 +99,29 @@ def system_from_dict(data: dict) -> ScmaSystem:
     _require(
         data["mother_constellation"], ("points", "labels"), "mother_constellation"
     )
+    for key in ("operators", "codebooks"):
+        if not isinstance(data[key], list):
+            raise ValueError(f"{key} must be a JSON array")
     for op in data["operators"]:
         _require(op, ("phases", "power_scale"), "operator")
     graph = FactorGraph(
-        np.asarray(data["factor_graph"], dtype=np.uint8), n_active=int(data["N"])
+        _numbers(data["factor_graph"], "factor_graph", "iu"), n_active=_scalar(data["N"], "N")
     )
+    if len(data["codebooks"]) != graph.n_layers:
+        raise ValueError("one codebook per layer required")
     mc = data["mother_constellation"]
     real = mc.get("real_part")
     imag = mc.get("imag_part")
     mother = MotherConstellation(
-        points=_complex_in(mc["points"]),
-        labels=np.asarray(mc["labels"], dtype=np.int64),
-        real_points=None if real is None else np.asarray(real, dtype=np.float64),
-        imag_points=None if imag is None else np.asarray(imag, dtype=np.float64),
+        points=_complex_in(mc["points"], "points"),
+        labels=_numbers(mc["labels"], "labels", "iu"),
+        real_points=None if real is None else _numbers(real, "real_part"),
+        imag_points=None if imag is None else _numbers(imag, "imag_part"),
     )
     operators = tuple(
         LayerOperator(
-            phases=_complex_in(op["phases"]), power_scale=float(op["power_scale"])
+            phases=_complex_in(op["phases"], "phases"),
+            power_scale=float(_scalar(op["power_scale"], "power_scale", (int, float))),
         )
         for op in data["operators"]
     )
@@ -101,7 +130,9 @@ def system_from_dict(data: dict) -> ScmaSystem:
         mapping = mapping_matrix(graph.signature(j))
         codebooks.append(
             Codebook(
-                codewords=_complex_in(cw), labels=mother.labels.copy(), mapping=mapping
+                codewords=_complex_in(cw, "codebooks"),
+                labels=mother.labels.copy(),
+                mapping=mapping,
             )
         )
     system = ScmaSystem(
@@ -112,15 +143,17 @@ def system_from_dict(data: dict) -> ScmaSystem:
 
 
 def _check_consistency(system: ScmaSystem, data: dict) -> None:
-    if system.n_resources != int(data["K"]):
+    if system.n_resources != _scalar(data["K"], "K"):
         raise ValueError("factor graph rows disagree with K")
-    if system.n_layers != int(data["J"]):
+    if system.n_layers != _scalar(data["J"], "J"):
         raise ValueError("factor graph columns disagree with J")
-    if system.alphabet_size != int(data["M"]):
+    if system.alphabet_size != _scalar(data["M"], "M"):
         raise ValueError("constellation size disagrees with M")
     for j, cb in enumerate(system.codebooks):
         rebuilt = build_codebook(system.mother, system.operators[j], cb.mapping)
-        if np.abs(rebuilt.codewords - cb.codewords).max() > 1e-9:
+        if rebuilt.codewords.shape != cb.codewords.shape or not (
+            np.abs(rebuilt.codewords - cb.codewords).max() <= 1e-9
+        ):
             raise ValueError(f"codebook {j} does not match mother and operator")
 
 

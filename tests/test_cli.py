@@ -192,6 +192,27 @@ def test_split_rejected_before_first_block(tmp_path, capsys, monkeypatch):
     assert not Path("x.csv").exists()
 
 
+@pytest.mark.parametrize("engine", ["mpa", "mpa_collapsed", "map"])
+def test_oversized_tables_rejected_before_allocation(tmp_path, capsys, monkeypatch, engine):
+    # degree-10 resources at M = 16: 16**10 table entries per resource and
+    # trial, which would otherwise fail inside numpy with a traceback
+    import scma.mpa_detector
+
+    builds = []
+    monkeypatch.setattr(scma.mpa_detector, "_resource_tables", lambda *a: builds.append(a))
+    monkeypatch.chdir(tmp_path)
+    main(["design", "--k", "6", "--n", "4", "--j", "15", "--m", "16",
+          "--scheme", "lds", "--out", "big.json"])
+    capsys.readouterr()
+    code = main(["simulate", "--system", "big.json", "--snr", "10",
+                 "--engine", engine, "--out", "x.csv"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert builds == []
+    assert not Path("x.csv").exists()
+
+
 def test_workers_above_bound_rejected(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     main(["design", "--scheme", "4pt", "--out", "4pt.json"])

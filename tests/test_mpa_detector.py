@@ -289,7 +289,9 @@ def test_marginals_finite_under_noise_mismatch(ratio):
 
 def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     # at 20 dB most lowproj hypotheses lie far enough from y that exp
-    # underflows; those entries must be an exact 0, never subnormal
+    # underflows; those entries must be an exact 0, and every other entry
+    # at least 2**-511, so that its product with a message entry of at
+    # least 2**-511 is never subnormal
     build = mpa_detector._resource_tables
     tables = []
     monkeypatch.setattr(
@@ -301,7 +303,7 @@ def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     got = batch_mpa(y, gains, system, nv, 4)
     entries = np.concatenate([t.ravel() for t in tables])
     assert (entries == 0).mean() > 0.1
-    assert ((entries == 0) | (entries >= np.finfo(float).tiny)).all()
+    assert ((entries == 0) | (entries >= 2.0**-511)).all()
     assert np.abs(got - reference_mpa(y, gains, system, nv, 4)).max() <= 1e-9
 
 
@@ -322,12 +324,28 @@ def test_normalise_falls_back_to_uniform_only_on_empty_columns():
 def test_exp_flushed_is_exp_or_exact_zero():
     cut = mpa_detector.EXP_FLUSH_ARG
     above = np.concatenate([[cut, -0.0, 0.0], np.linspace(cut, 0.0, 10001)])
-    below = np.array([-np.inf, -1e300, -800.0, -708.5, -708.0, np.nextafter(cut, -np.inf)])
+    below = np.array(
+        [-np.inf, -1e300, -800.0, -708.5, -708.0, -706.0, -400.0, np.nextafter(cut, -np.inf)]
+    )
     a = np.concatenate([above, below])
     got = mpa_detector._exp_flushed(a.copy())
     assert np.array_equal(got[: above.size], np.exp(above))
     assert (got[above.size :] == 0).all()
-    assert ((got == 0) | (got >= np.finfo(float).tiny)).all()
+    assert ((got == 0) | (got >= 2.0**-511)).all()
+
+
+@pytest.mark.parametrize(
+    "rows,cols,want",
+    [
+        (16, 4, [(0, 16)]),  # 4pt: the whole table is one block
+        (256, 16, [(lo, lo + 32) for lo in range(0, 256, 32)]),  # lowproj plain
+        (81, 9, [(0, 56), (56, 81)]),  # lowproj collapsed
+        (3, 4096, [(0, 1), (1, 2), (2, 3)]),  # a row wider than a block
+    ],
+)
+def test_row_blocks_cover_the_rows_in_order(rows, cols, want):
+    got = mpa_detector._row_blocks(rows, cols)
+    assert [(b.start, b.stop) for b in got] == want
 
 
 def map_case(scheme, n_layers, m, mode, size, snr_db=8.0):
@@ -684,6 +702,25 @@ def test_batch_split_matches_single_shot():
     single = split_detect(y, system, ch, nv, max_iter=4)
     batch = batch_split(y[None], ch.gains[None], system, nv, 4)
     assert np.array_equal(batch[0], single.marginals)
+
+
+def test_batch_engines_reject_tables_over_the_cap(monkeypatch):
+    # the check counts one trial's entries over every resource table; the
+    # identity-phase T16 system is separable, so split detection runs on it
+    system = identity_phase_system()
+    tables = collapse_projections(system)
+    report = complexity_report(system)
+    y, gains, nv = random_batch(system, 8.0, np.random.default_rng(90), "awgn", 3)
+    for run, counts in (
+        (lambda: batch_mpa(y, gains, system, nv, 2), report.plain),
+        (lambda: batch_mpa(y, gains, system, nv, 2, 0.0, tables), report.collapsed),
+        (lambda: batch_split(y, gains, system, nv, 2), report.split),
+    ):
+        monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", sum(counts))
+        assert run().shape == (3, 6, 16)
+        monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", sum(counts) - 1)
+        with pytest.raises(ValueError, match="likelihood tables hold"):
+            run()
 
 
 @pytest.mark.parametrize("engine", [batch_mpa, batch_map, batch_split])
