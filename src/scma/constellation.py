@@ -360,10 +360,16 @@ def four_point_mother() -> MotherConstellation:
 
 def low_projection_16point() -> MotherConstellation:
     """16-point variant whose per-dimension projections collapse to nine
-    values, trading diversity for detector complexity."""
+    values, trading diversity for detector complexity.
+
+    The rotation sits at a collision angle, where two coordinates meet only
+    up to rounding; each coordinate is replaced by its merge_values
+    representative, so the merged projections are one value exactly."""
     base = base_lattice(2, 4)
     _, r = optimize_rotation_projections(base, 9)
-    u = rotate(base, r)
+    rotated = rotate(base, r).points
+    merged = [reps[idx] for reps, idx in map(merge_values, rotated.T)]
+    u = RealConstellation(np.stack(merged, axis=1))
     return shuffle_construct(u, u)
 
 

@@ -117,7 +117,26 @@ def _row_blocks(rows: int, cols: int) -> tuple[slice, ...]:
     return tuple(slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
-def _resource_tables(y, edge_values, res_edges, noise_var):
+def _distinct(values: np.ndarray):
+    """(distinct values, each entry's index into them) of a 1-D array, or
+    (values, None) when no entry repeats exactly. A set-size check decides,
+    so an array without repeats costs microseconds."""
+    if len(set(values.tolist())) == len(values):
+        return values, None
+    return np.unique(values, return_inverse=True)
+
+
+def _expansion(index, widths) -> np.ndarray:
+    """(A_1 * ... * A_{d-1}, A_d) flat positions, in a table over `widths`
+    values per edge, of every symbol combination of a resource's edges;
+    index[i] maps edge i's symbols to its values (None: one to one)."""
+    flat = np.zeros((), dtype=np.intp)
+    for idx, width in zip(index, widths):
+        flat = flat[..., None] * width + (np.arange(width) if idx is None else idx)
+    return flat.reshape(-1, flat.shape[-1])
+
+
+def _resource_tables(y, edge_values, res_edges, noise_var, edge_index):
     """Per resource, exp(-(|y_k - s|^2 - min_s |y_k - s|^2) / noise_var) over
     every sum s of its edges' values as an (A_1 * ... * A_{d-1}, A_d, T)
     array in edge order, or None without edges; entries whose exp argument is
@@ -129,6 +148,12 @@ def _resource_tables(y, edge_values, res_edges, noise_var):
     scales and flushes each block. The imaginary part and then the flush
     mask of a block live in one scratch buffer per call, the size of the
     largest block.
+
+    When edge_index[e] is not None, edge_values[e] holds distinct values and
+    edge_index[e] maps each of the edge's symbols to one of them: the table
+    is built over the distinct values, then expanded to the symbols by one
+    gather. Every entry is computed by the same operations as entry by entry,
+    so the expanded table has the same bits.
     """
     t_count = y.shape[-1]
     scratch = np.empty(0)
@@ -158,6 +183,10 @@ def _resource_tables(y, edge_values, res_edges, noise_var):
             energy -= low
             energy /= -noise_var
             _exp_flushed(energy, scratch[: energy.size].reshape(energy.shape))
+        index = [edge_index[e] for e in es]
+        if any(idx is not None for idx in index):
+            widths = [len(edge_values[e]) for e in es]
+            table = table.reshape(-1, t_count)[_expansion(index, widths)]
         tables.append(table)
     return tables
 
@@ -180,13 +209,17 @@ def _leave_one_out(table, msgs):
     for m in msgs[1:-1]:
         w = (w[:, None] * m).reshape(-1, t_count)
     g = table.reshape(len(w), -1, t_count)
-    last, rest = None, []
-    for b in _row_blocks(*g.shape[:2]):
-        block = g[b]
-        part = np.einsum("pat,pt->at", block, w[b])
-        last = part if last is None else np.add(last, part, out=last)
-        rest.append(np.einsum("pat,at->pt", block, msgs[-1]))
-    rest = rest[0] if len(rest) == 1 else np.concatenate(rest)
+    if g[..., 0].size <= ROW_BLOCK_ENTRIES:  # one block: skip the block loop
+        last = np.einsum("pat,pt->at", g, w)
+        rest = np.einsum("pat,at->pt", g, msgs[-1])
+    else:
+        last, rest = None, []
+        for b in _row_blocks(*g.shape[:2]):
+            block = g[b]
+            part = np.einsum("pat,pt->at", block, w[b])
+            last = part if last is None else np.add(last, part, out=last)
+            rest.append(np.einsum("pat,at->pt", block, msgs[-1]))
+        rest = np.concatenate(rest)
     return _leave_one_out(rest, msgs[:-1]) + [last]
 
 
@@ -194,6 +227,7 @@ def _run_mpa(
     y: np.ndarray,
     edge_values: list[np.ndarray],
     edge_proj: list[np.ndarray | None],
+    edge_index: list[np.ndarray | None],
     res_edges,
     lay_edges,
     alphabet: int,
@@ -209,15 +243,18 @@ def _run_mpa(
     on A_e merged projections and edge_proj[e] is the (A_e, alphabet)
     indicator of each symbol's projection; messages still live on the full
     alphabet, summed onto the projections on the way into a resource.
+    When edge_index[e] is not None, edge_values[e] holds the edge's distinct
+    values and edge_index[e] maps each symbol to one of them; the tables are
+    built over those and expanded to the symbols (see _resource_tables).
     Messages are (E, alphabet, T); lay_edges holds each layer's N edges.
     """
     t_count = y.shape[-1]
     l2r = r2l = np.full((len(edge_values), alphabet, t_count), 1.0 / alphabet)
-    tables = _resource_tables(y, edge_values, res_edges, noise_var)
+    tables = _resource_tables(y, edge_values, res_edges, noise_var, edge_index)
     n = lay_edges.shape[1]  # others[i]: the positions of a layer's edges but its i-th
     others = [[i2 for i2 in range(n) if i2 != i] for i in range(n)]
     out = np.empty_like(r2l)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         for k, es in enumerate(res_edges):
             if tables[k] is None:
                 continue
@@ -227,6 +264,8 @@ def _run_mpa(
             for e, p, o in zip(es, proj, _leave_one_out(tables[k], incoming)):
                 out[e] = o if p is None else p.T @ o
         r2l = _damped(_normalise(out), r2l, damping)
+        if it == max_iter - 1:
+            break  # the marginals read r2l only
         out[lay_edges] = r2l[lay_edges[:, others]].prod(axis=2)
         l2r = _damped(_normalise(out), l2r, damping)
 
@@ -277,27 +316,30 @@ def batch_mpa(
     Runs exactly max_iter flooding iterations (resource updates, then layer
     updates). With `tables` the per-resource enumeration runs over merged
     projections instead of raw symbols, which changes nothing but cost.
+    Without them, a likelihood shared by symbols whose codeword values are
+    exactly equal is computed once (see _resource_tables).
     """
     _check_detect_args(noise_var, max_iter, damping)
     edges, res_edges, lay_edges = _edges(system)
     # per edge, the symbols or merged projections a resource enumerates
     widths = [system.alphabet_size if tables is None else len(tables[e][0]) for e in edges]
     _check_table_entries(math.prod(widths[e] for e in es) for es in res_edges)
+    # per edge, its values and each symbol's value: the distinct codeword
+    # values, or the merged projections of `tables`
+    columns = [_distinct(system.codebooks[j].codewords[:, k]) if tables is None
+               else tables[(k, j)] for k, j in edges]
+    # a merged projection's value-by-symbol indicator; the distinct-value
+    # index of a plain edge only shapes its table
+    edge_proj = [None if tables is None else np.eye(len(vals))[:, idx]
+                 for vals, idx in columns]
+    edge_index = [idx if tables is None else None for _, idx in columns]
 
     def body(y, gains):
-        # (A_e, T) value table of every edge with the channel folded in, and
-        # its value-by-symbol indicator (None without `tables`)
-        edge_values, edge_proj = [], []
-        for k, j in edges:
-            if tables is None:
-                vals, proj = system.codebooks[j].codewords[:, k], None
-            else:
-                vals, idx = tables[(k, j)]
-                proj = np.eye(len(vals))[:, idx]
-            edge_values.append(gains[:, j, k] * vals[:, None])
-            edge_proj.append(proj)
+        # (A_e, T) value table of every edge with the channel folded in
+        edge_values = [gains[:, j, k] * vals[:, None]
+                       for (k, j), (vals, _) in zip(edges, columns)]
         return _run_mpa(
-            y, edge_values, edge_proj, res_edges, lay_edges,
+            y, edge_values, edge_proj, edge_index, res_edges, lay_edges,
             system.alphabet_size, noise_var, max_iter, damping,
         )
 
@@ -388,14 +430,15 @@ def batch_split(
     _check_table_entries(m_u ** len(es) + m_v ** len(es) for es in res_edges)
 
     def half(points: np.ndarray, y_part: np.ndarray, gains: np.ndarray) -> np.ndarray:
-        vals = []
+        vals, index = [], []
         for k, j in edges:
             local = system.codebooks[j].support.index(k)
             sign = system.operators[j].phases[local].real
-            col = sign * points[:, local]
+            col, idx = _distinct(sign * points[:, local])
             vals.append(gains[:, j, k].real * col[:, None])
+            index.append(idx)
         return _run_mpa(
-            y_part, vals, [None] * len(edges), res_edges, lay_edges,
+            y_part, vals, [None] * len(edges), index, res_edges, lay_edges,
             len(points), noise_var, max_iter, 0.0,
         )
 
@@ -415,8 +458,8 @@ def batch_split(
 
 
 def _check_detect_args(noise_var: float, max_iter: int, damping: float) -> None:
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
+    if not (math.isfinite(noise_var) and noise_var > 0):
+        raise ValueError("noise_var must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not 0.0 <= damping < 1.0:

@@ -429,11 +429,23 @@ def test_optimize_projections_matches_grid_reference(size, targets, grid_step):
 
 
 def test_low_projection_points_bit_identical():
-    # sha256 of the little-endian complex128 points as first designed
+    # sha256 of the little-endian complex128 points, with every rotated
+    # coordinate replaced by its merge_values representative
     points = low_projection_16point().points.astype("<c16")
     assert hashlib.sha256(points.tobytes()).hexdigest() == (
-        "72edc787d7c20800ea6ad3d509752f71e9ea5e4dd8185b6bda72e52b639cb203"
+        "85e0b31e77babfd68292af0678ffee7aa14bce13f354678e15f6e636c493e20e"
     )
+
+
+def test_low_projection_values_are_exact_and_near_the_rotation():
+    # the merged projections are one value exactly, and the points sit
+    # within rounding of the plain rotation at the chosen angle
+    mother = low_projection_16point()
+    for n in range(mother.n_dims):
+        assert len(np.unique(mother.points[:, n])) == 9
+    _, r = optimize_rotation_projections(base_lattice(2, 4), 9)
+    u = rotate(base_lattice(2, 4), r)
+    assert np.abs(mother.points - shuffle_construct(u, u).points).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,18 @@ from scma.channel_model import (
     snr_to_noise_variance,
 )
 from scma.codebook import LayerOperator, ScmaSystem, build_codebook, build_named_system
-from scma.constellation import four_point_mother, repetition_qam_mother, t16qam
+from scma.codebook import build_system
+from scma.constellation import (
+    base_lattice,
+    four_point_mother,
+    low_projection_16point,
+    merge_values,
+    optimize_rotation_projections,
+    repetition_qam_mother,
+    rotate,
+    shuffle_construct,
+    t16qam,
+)
 from scma.factor_graph import (
     FactorGraph, build_full_graph, build_subgraph, mapping_matrix,
 )
@@ -46,14 +57,15 @@ def random_received(system, snr_db, rng, mode="awgn"):
     return y, ChannelRealization(gains=gains, mode=mode), nv, tx
 
 
-def identity_phase_system(n_layers=6):
-    """Full graph with T16QAM and all-ones phases: separable and real."""
+def identity_phase_system(n_layers=6, mother=None):
+    """Full graph with T16QAM (or `mother`) and all-ones phases: separable
+    and real."""
     graph = build_full_graph(4, 2)
     if n_layers < 6:
         from scma.factor_graph import build_subgraph
 
         graph = build_subgraph(4, 2, n_layers)
-    mother = t16qam()
+    mother = mother or t16qam()
     ops = tuple(
         LayerOperator(phases=np.ones(2, dtype=complex)) for _ in range(n_layers)
     )
@@ -305,6 +317,73 @@ def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     assert (entries == 0).mean() > 0.1
     assert ((entries == 0) | (entries >= 2.0**-511)).all()
     assert np.abs(got - reference_mpa(y, gains, system, nv, 4)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("trials", [1, 17, 129])
+def test_distinct_value_tables_equal_tables_over_every_symbol(monkeypatch, trials):
+    # the tables built over each edge's distinct values and expanded have
+    # the bits of the tables built entry by entry, and so do the marginals
+    system = build_named_system("lowproj", 4, 2, 6, 16)
+    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(trials), "uplink_rayleigh",
+                                trials)
+    edges, res_edges, _ = mpa_detector._edges(system)
+    columns = [system.codebooks[j].codewords[:, k] for k, j in edges]
+    distinct = [mpa_detector._distinct(col) for col in columns]
+    assert all(len(vals) == 9 for vals, _ in distinct)
+    y_t = np.ascontiguousarray(y.T)
+    full = mpa_detector._resource_tables(
+        y_t, [gains[:, j, k] * col[:, None] for (k, j), col in zip(edges, columns)],
+        res_edges, nv, [None] * len(edges),
+    )
+    expanded = mpa_detector._resource_tables(
+        y_t, [gains[:, j, k] * vals[:, None] for (k, j), (vals, _) in zip(edges, distinct)],
+        res_edges, nv, [idx for _, idx in distinct],
+    )
+    for got, want in zip(expanded, full):
+        assert got.shape == want.shape == (256, 16, trials)
+        assert np.array_equal(got, want)
+    got = batch_mpa(y, gains, system, nv, 6)
+    monkeypatch.setattr(mpa_detector, "_distinct", lambda values: (values, None))
+    assert np.array_equal(got, batch_mpa(y, gains, system, nv, 6))
+
+
+def test_distinct_value_split_tables_keep_the_marginals(monkeypatch):
+    # the identity-phase lowproj system is separable, and each real part
+    # shows 3 distinct values on each dimension
+    system = identity_phase_system(6, low_projection_16point())
+    rng = np.random.default_rng(17)
+    y, gains, nv = random_batch(system, 12.0, rng, "awgn", 17)
+    gains = gains * np.abs(rng.standard_normal((17, 6, 1)))
+    got = batch_split(y, gains, system, nv, 5)
+    monkeypatch.setattr(mpa_detector, "_distinct", lambda values: (values, None))
+    assert np.array_equal(got, batch_split(y, gains, system, nv, 5))
+
+
+def test_plain_lowproj_builds_each_distinct_likelihood_once(monkeypatch):
+    # 9 distinct values on each of a resource's 3 edges: 729 likelihoods
+    # per resource and trial, not 4096
+    sizes = []
+    flushed = mpa_detector._exp_flushed
+    monkeypatch.setattr(
+        mpa_detector, "_exp_flushed", lambda a, *m: sizes.append(a.size) or flushed(a, *m)
+    )
+    system = build_named_system("lowproj", 4, 2, 6, 16)
+    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(18), "awgn", 5)
+    batch_mpa(y, gains, system, nv, 2)
+    assert sum(sizes) == system.n_resources * 729 * 5
+
+
+def test_lowproj_collapsed_projections_unchanged_by_exact_values():
+    # the merged representatives are the first members of their clusters,
+    # so the collapsed values and indices match those of the plain rotation
+    _, r = optimize_rotation_projections(base_lattice(2, 4), 9)
+    u = rotate(base_lattice(2, 4), r)
+    rounded = build_system(4, 2, 6, shuffle_construct(u, u))
+    exact = collapse_projections(build_named_system("lowproj", 4, 2, 6, 16))
+    for (k, j), (vals, idx) in exact.items():
+        want_vals, want_idx = merge_values(rounded.codebooks[j].codewords[:, k])
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(idx, want_idx)
 
 
 def test_normalise_falls_back_to_uniform_only_on_empty_columns():
@@ -669,6 +748,10 @@ def test_parameter_validation():
     y = np.zeros(4, dtype=complex)
     with pytest.raises(ValueError):
         mpa_detect(y, system, ch, 0.0)
+    for engine in (batch_mpa, batch_map, batch_split):
+        for nv in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="noise_var"):
+                engine(y[None], ch.gains[None], system, nv)
     with pytest.raises(ValueError):
         mpa_detect(y, system, ch, 0.1, max_iter=0)
     with pytest.raises(ValueError):
