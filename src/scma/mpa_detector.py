@@ -26,6 +26,7 @@ __all__ = [
     "split_detect",
     "collapse_projections",
     "complexity_report",
+    "has_rounded_repeats",
     "batch_mpa",
     "batch_map",
     "batch_split",
@@ -128,20 +129,48 @@ def _distinct(values: np.ndarray):
 
 def _expansion(index, widths) -> np.ndarray:
     """(A_1 * ... * A_{d-1}, A_d) flat positions, in a table over `widths`
-    values per edge, of every symbol combination of a resource's edges;
-    index[i] maps edge i's symbols to its values (None: one to one)."""
+    values per edge, of every combination of a resource's edges; index[i]
+    maps edge i's symbols to its values, and None keeps the values."""
     flat = np.zeros((), dtype=np.intp)
     for idx, width in zip(index, widths):
         flat = flat[..., None] * width + (np.arange(width) if idx is None else idx)
     return flat.reshape(-1, flat.shape[-1])
 
 
-def _resource_tables(y, edge_values, res_edges, noise_var, edge_index):
+def _view_plan(index, widths):
+    """Per level of _leave_one_out, from a resource's d edges down to its
+    first: (positions of the level's last view, positions of its rest view,
+    the index of its last edge), in a table over `widths` distinct values
+    per edge (see _expansion); None where a view is the table itself.
+
+    The last view expands every edge but the last to its symbols, and the
+    rest view only the last edge. A table without repeats is its own views.
+    """
+    plan = []
+    for d in range(len(index), 0, -1):
+        idx, width = index[:d], widths[:d]
+        last = None if all(i is None for i in idx[:-1]) else _expansion(idx[:-1] + [None], width)
+        rest = None if idx[-1] is None else _expansion([None] * (d - 1) + idx[-1:], width)
+        plan.append((last, rest, idx[-1]))
+    return plan
+
+
+def _views(table, level):
+    """(last view, rest view) of a table at one level of a view plan."""
+    last, rest, _ = level
+    if last is None and rest is None:
+        return table, table
+    flat = table.reshape(-1, table.shape[-1])
+    return flat if last is None else flat[last], flat if rest is None else flat[rest]
+
+
+def _resource_tables(y, edge_values, res_edges, noise_var, plans):
     """Per resource, exp(-(|y_k - s|^2 - min_s |y_k - s|^2) / noise_var) over
-    every sum s of its edges' values as an (A_1 * ... * A_{d-1}, A_d, T)
-    array in edge order, or None without edges; entries whose exp argument is
-    below EXP_FLUSH_ARG are 0. The first d - 1 edges fold into a complex
-    residual y_k - s; the energy against the last is real arithmetic.
+    every sum s of its edges' values, or None without edges; entries whose
+    exp argument is below EXP_FLUSH_ARG are 0. The first d - 1 edges fold
+    into a complex residual y_k - s; the energy against the last is real
+    arithmetic. A table is returned as its two top-level views under
+    plans[k] (see _view_plan), each (rows, columns, T).
 
     A table is built in row blocks, in two passes: the first forms each
     block's energy and keeps a running per-trial minimum, the second shifts,
@@ -149,11 +178,10 @@ def _resource_tables(y, edge_values, res_edges, noise_var, edge_index):
     mask of a block live in one scratch buffer per call, the size of the
     largest block.
 
-    When edge_index[e] is not None, edge_values[e] holds distinct values and
-    edge_index[e] maps each of the edge's symbols to one of them: the table
-    is built over the distinct values, then expanded to the symbols by one
-    gather. Every entry is computed by the same operations as entry by entry,
-    so the expanded table has the same bits.
+    edge_values[e] holds an edge's distinct values: the table is built once
+    over their combinations, and each view gathers from it by one flat
+    index. Every entry is computed by the same operations as entry by entry,
+    so the views hold the bits of a table built over every symbol.
     """
     t_count = y.shape[-1]
     scratch = np.empty(0)
@@ -183,44 +211,51 @@ def _resource_tables(y, edge_values, res_edges, noise_var, edge_index):
             energy -= low
             energy /= -noise_var
             _exp_flushed(energy, scratch[: energy.size].reshape(energy.shape))
-        index = [edge_index[e] for e in es]
-        if any(idx is not None for idx in index):
-            widths = [len(edge_values[e]) for e in es]
-            table = table.reshape(-1, t_count)[_expansion(index, widths)]
-        tables.append(table)
+        tables.append(_views(table, plans[k][0]))
     return tables
 
 
-def _leave_one_out(table, msgs):
-    """out[i][a_i, t]: the sum of table[..., t] over every axis but i, weighted
-    by the messages on those axes; table holds the axes of msgs in order,
-    then trials, flattened in any way that keeps that order.
+def _leave_one_out(views, msgs, plan):
+    """out[i][a_i, t]: the sum of a table's entries over every axis but i,
+    weighted by the messages on those axes; msgs hold one message per axis
+    over its symbols, and views are the table's (last, rest) views under
+    plan[0] (see _view_plan), holding the axes in order, then trials.
 
     Two contractions per level: the outer product of all but the last
-    message against the table gives the last axis's output, and the table
-    against the last message drops that axis for the next level. Both run
-    block by block over the table's rows, so the second reads a block from
-    cache.
+    message against the last view gives the last axis's output at its
+    distinct values, copied to its symbols by one gather; the rest view
+    against the last message drops that axis for the next level, at the
+    distinct values of the other axes. The first runs block by block over
+    the rows of the symbol-level table, so its sums group as over that
+    table; a table without repeats runs both in one block loop, so the
+    second reads a block from cache.
     """
-    t_count = table.shape[-1]
+    last_view, rest_view = views
+    t_count = rest_view.shape[-1]
     if len(msgs) == 1:
-        return [table.reshape(-1, t_count)]
+        return [rest_view.reshape(-1, t_count)]
     w = msgs[0]
     for m in msgs[1:-1]:
         w = (w[:, None] * m).reshape(-1, t_count)
-    g = table.reshape(len(w), -1, t_count)
-    if g[..., 0].size <= ROW_BLOCK_ENTRIES:  # one block: skip the block loop
+    rows, cols = len(w), len(msgs[-1])
+    g = last_view.reshape(rows, -1, t_count)
+    h = g if last_view is rest_view else rest_view.reshape(-1, cols, t_count)
+    if rows * cols <= ROW_BLOCK_ENTRIES:  # one block: skip the block loop
         last = np.einsum("pat,pt->at", g, w)
-        rest = np.einsum("pat,at->pt", g, msgs[-1])
+        rest = np.einsum("pat,at->pt", h, msgs[-1])
     else:
-        last, rest = None, []
-        for b in _row_blocks(*g.shape[:2]):
+        last, parts = None, []
+        for b in _row_blocks(rows, cols):
             block = g[b]
             part = np.einsum("pat,pt->at", block, w[b])
             last = part if last is None else np.add(last, part, out=last)
-            rest.append(np.einsum("pat,at->pt", block, msgs[-1]))
-        rest = np.concatenate(rest)
-    return _leave_one_out(rest, msgs[:-1]) + [last]
+            if g is h:
+                parts.append(np.einsum("pat,at->pt", block, msgs[-1]))
+        rest = np.concatenate(parts) if g is h else np.einsum("pat,at->pt", h, msgs[-1])
+    index = plan[0][2]
+    if index is not None:
+        last = last[index]
+    return _leave_one_out(_views(rest, plan[1]), msgs[:-1], plan[1:]) + [last]
 
 
 def _run_mpa(
@@ -245,12 +280,15 @@ def _run_mpa(
     alphabet, summed onto the projections on the way into a resource.
     When edge_index[e] is not None, edge_values[e] holds the edge's distinct
     values and edge_index[e] maps each symbol to one of them; the tables are
-    built over those and expanded to the symbols (see _resource_tables).
-    Messages are (E, alphabet, T); lay_edges holds each layer's N edges.
+    built and contracted over those (see _view_plan) with the bits of tables
+    over every symbol. Messages are (E, alphabet, T); lay_edges holds each
+    layer's N edges.
     """
     t_count = y.shape[-1]
     l2r = r2l = np.full((len(edge_values), alphabet, t_count), 1.0 / alphabet)
-    tables = _resource_tables(y, edge_values, res_edges, noise_var, edge_index)
+    plans = [_view_plan([edge_index[e] for e in es], [len(edge_values[e]) for e in es])
+             for es in res_edges]
+    tables = _resource_tables(y, edge_values, res_edges, noise_var, plans)
     n = lay_edges.shape[1]  # others[i]: the positions of a layer's edges but its i-th
     others = [[i2 for i2 in range(n) if i2 != i] for i in range(n)]
     out = np.empty_like(r2l)
@@ -261,7 +299,7 @@ def _run_mpa(
             proj = [edge_proj[e] for e in es]
             incoming = [m if p is None else np.einsum("am,mt->at", p, m)
                         for p, m in zip(proj, l2r[es])]
-            for e, p, o in zip(es, proj, _leave_one_out(tables[k], incoming)):
+            for e, p, o in zip(es, proj, _leave_one_out(tables[k], incoming, plans[k])):
                 out[e] = o if p is None else p.T @ o
         r2l = _damped(_normalise(out), r2l, damping)
         if it == max_iter - 1:
@@ -542,6 +580,22 @@ def collapse_projections(
             vals, idx = merge_values(system.codebooks[j].codewords[:, k], tol)
             tables[(k, j)] = (vals, idx)
     return tables
+
+
+def has_rounded_repeats(system: ScmaSystem, split: bool = False) -> bool:
+    """True when some edge of plain (or split) MPA holds values that differ
+    by no more than PROJECTION_MERGE_TOL but not exactly: the detector then
+    builds a likelihood for each of them where one would do. A lowproj file
+    saved before its projections were made exact is such a system."""
+    if not split:
+        columns = [system.codebooks[j].codewords[:, k]
+                   for k in range(system.n_resources) for j in system.graph.layers_at(k)]
+    elif system.is_separable:
+        parts = (system.mother.real_points, system.mother.imag_points)
+        columns = [p[:, n] for p in parts for n in range(p.shape[1])]
+    else:
+        return False  # split detection does not apply
+    return any(len(merge_values(c)[0]) < len(_distinct(c)[0]) for c in columns)
 
 
 def complexity_report(system: ScmaSystem) -> ComplexityReport:

@@ -170,6 +170,40 @@ def test_lowproj_simulate_cli_pinned_csv(tmp_path, monkeypatch, engine):
     assert Path("lp.csv").read_text() == golden.read_text()
 
 
+def test_simulate_notes_values_that_differ_by_rounding(tmp_path, capsys, monkeypatch):
+    # a lowproj file saved from the plain rotation holds codeword values up
+    # to 7.9e-16 apart: plain mpa notes once that it computes a likelihood
+    # for each; the exit code and CSV bytes stay as they were, and neither a
+    # fresh design nor mpa_collapsed, which merges them, gets a note
+    import scma.cli
+    from scma.codebook import build_system
+    from scma.constellation import (
+        base_lattice, optimize_rotation_projections, rotate, shuffle_construct,
+    )
+    from scma.system_io import save_system
+
+    monkeypatch.chdir(tmp_path)
+    _, r = optimize_rotation_projections(base_lattice(2, 4), 9)
+    u = rotate(base_lattice(2, 4), r)
+    save_system(build_system(4, 2, 6, shuffle_construct(u, u)), "rounded.json")
+    assert main(["design", "--scheme", "lowproj", "--m", "16", "--out", "exact.json"]) == 0
+    capsys.readouterr()
+
+    def notes(system, engine, out):
+        assert main(["simulate", "--system", system, "--engine", engine, "--channel", "uplink",
+                     "--snr", "16", "--min-errors", "20", "--max-trials", "128",
+                     "--seed", "1", "--out", out]) == 0
+        return [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+
+    got = notes("rounded.json", "mpa", "noted.csv")
+    assert len(got) == 1 and "`scma design`" in got[0]
+    assert notes("exact.json", "mpa", "exact.csv") == []
+    assert notes("rounded.json", "mpa_collapsed", "collapsed.csv") == []
+    monkeypatch.setattr(scma.cli, "has_rounded_repeats", lambda *a: False)
+    assert notes("rounded.json", "mpa", "quiet.csv") == []
+    assert Path("noted.csv").read_bytes() == Path("quiet.csv").read_bytes()
+
+
 def test_split_rejected_before_first_block(tmp_path, capsys, monkeypatch):
     # a system without +-1 phases, or a channel with complex gains, fails
     # before the first block of trials is drawn

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -303,7 +305,7 @@ def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     # at 20 dB most lowproj hypotheses lie far enough from y that exp
     # underflows; those entries must be an exact 0, and every other entry
     # at least 2**-511, so that its product with a message entry of at
-    # least 2**-511 is never subnormal
+    # least 2**-511 is never subnormal. Both views of every table count.
     build = mpa_detector._resource_tables
     tables = []
     monkeypatch.setattr(
@@ -313,16 +315,18 @@ def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     rng = np.random.default_rng(60)
     y, gains, nv = random_batch(system, 20.0, rng, "uplink_rayleigh", 16)
     got = batch_mpa(y, gains, system, nv, 4)
-    entries = np.concatenate([t.ravel() for t in tables])
+    entries = np.concatenate([view.ravel() for views in tables for view in views])
     assert (entries == 0).mean() > 0.1
     assert ((entries == 0) | (entries >= 2.0**-511)).all()
     assert np.abs(got - reference_mpa(y, gains, system, nv, 4)).max() <= 1e-9
 
 
 @pytest.mark.parametrize("trials", [1, 17, 129])
-def test_distinct_value_tables_equal_tables_over_every_symbol(monkeypatch, trials):
-    # the tables built over each edge's distinct values and expanded have
-    # the bits of the tables built entry by entry, and so do the marginals
+def test_distinct_value_tables_equal_tables_over_every_symbol(trials):
+    # the two views of a table built over each edge's distinct values hold
+    # the bits of the table built entry by entry: the last view at each
+    # symbol's value of the last edge, the rest view at each symbol
+    # combination's values of the other edges
     system = build_named_system("lowproj", 4, 2, 6, 16)
     y, gains, nv = random_batch(system, 12.0, np.random.default_rng(trials), "uplink_rayleigh",
                                 trials)
@@ -333,18 +337,102 @@ def test_distinct_value_tables_equal_tables_over_every_symbol(monkeypatch, trial
     y_t = np.ascontiguousarray(y.T)
     full = mpa_detector._resource_tables(
         y_t, [gains[:, j, k] * col[:, None] for (k, j), col in zip(edges, columns)],
-        res_edges, nv, [None] * len(edges),
+        res_edges, nv, [mpa_detector._view_plan([None] * 3, [16] * 3)] * 4,
     )
-    expanded = mpa_detector._resource_tables(
+    views = mpa_detector._resource_tables(
         y_t, [gains[:, j, k] * vals[:, None] for (k, j), (vals, _) in zip(edges, distinct)],
-        res_edges, nv, [idx for _, idx in distinct],
+        res_edges, nv,
+        [mpa_detector._view_plan([distinct[e][1] for e in es], [9] * 3) for es in res_edges],
     )
-    for got, want in zip(expanded, full):
-        assert got.shape == want.shape == (256, 16, trials)
-        assert np.array_equal(got, want)
-    got = batch_mpa(y, gains, system, nv, 6)
+    for (last, rest), (table, same), es in zip(views, full, res_edges):
+        assert table is same and table.shape == (256, 16, trials)
+        index = [distinct[e][1] for e in es]
+        rows = mpa_detector._expansion(index[:-1], [9, 9]).ravel()
+        assert np.array_equal(last[:, index[-1]], table)
+        assert np.array_equal(rest[rows], table)
+
+
+def test_plain_lowproj_contracts_distinct_value_views(monkeypatch):
+    # a lowproj resource's top-level contractions see 256 x 9 and 81 x 16
+    # entries per trial, not 256 x 16 twice; a 4pt table is its own views
+    contract = mpa_detector._leave_one_out
+    seen = []
+
+    def record(views, msgs, plan):
+        if len(msgs) == 3:
+            seen.append(views)
+        return contract(views, msgs, plan)
+
+    monkeypatch.setattr(mpa_detector, "_leave_one_out", record)
+    system = build_named_system("lowproj", 4, 2, 6, 16)
+    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(19), "uplink_rayleigh", 5)
+    batch_mpa(y, gains, system, nv, 2)
+    assert len(seen) == 2 * system.n_resources
+    assert all(last.shape == (256, 9, 5) and rest.shape == (81, 16, 5) for last, rest in seen)
+    seen.clear()
+    system = build_named_system("4pt", 4, 2, 6, 4)
+    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(19), "awgn", 5)
+    batch_mpa(y, gains, system, nv, 2)
+    assert seen and all(last is rest and last.shape == (16, 4, 5) for last, rest in seen)
+
+
+def _symbol_index(rng, symbols, values):
+    """A random map of `symbols` symbols onto `values` values, each value hit;
+    None when they are one to one."""
+    if symbols == values:
+        return None
+    extra = rng.integers(0, values, symbols - values)
+    return rng.permutation(np.concatenate([np.arange(values), extra]))
+
+
+@pytest.mark.parametrize("trials", [1, 2, 17, 129])
+@pytest.mark.parametrize(
+    "symbols,values",
+    [
+        ((16,), (9,)),  # one edge
+        ((16, 16), (9, 16)),  # one block
+        ((32, 32), (5, 32)),  # row blocks, repeats on the rows only
+        ((32, 32), (32, 7)),  # row blocks, repeats on the last edge only
+        ((4, 4, 4), (3, 4, 2)),  # one block at every level
+        ((16, 16, 16), (9, 9, 9)),  # lowproj: row blocks at the top level
+        ((16, 16, 16), (16, 9, 16)),  # repeats on a middle edge only
+    ],
+)
+def test_leave_one_out_on_views_matches_the_expanded_table(symbols, values, trials):
+    # contracting the distinct-value views gives the bits of contracting
+    # the table expanded to every symbol combination
+    rng = np.random.default_rng(sum(symbols) + sum(values) + trials)
+    index = [_symbol_index(rng, m, v) for m, v in zip(symbols, values)]
+    distinct = rng.random((math.prod(values), trials))
+    distinct[distinct < 0.2] = 0.0
+    expanded = distinct[mpa_detector._expansion(index, values)]
+    msgs = [rng.random((m, trials)) for m in symbols]
+    plain = mpa_detector._view_plan([None] * len(symbols), symbols)
+    want = mpa_detector._leave_one_out((expanded, expanded), msgs, plain)
+    plan = mpa_detector._view_plan(index, values)
+    got = mpa_detector._leave_one_out(mpa_detector._views(distinct, plan[0]), msgs, plan)
+    assert len(got) == len(want) == len(symbols)
+    for g, w, m in zip(got, want, symbols):
+        assert g.shape == w.shape == (m, trials)
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("trials", [1, 17, 129, 512])
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+def test_distinct_value_views_keep_the_marginals(monkeypatch, damping, trials):
+    # plain lowproj MPA gives the bits it gives with no distinct-value index;
+    # so does split on the identity-phase lowproj system
+    system = build_named_system("lowproj", 4, 2, 6, 16)
+    rng = np.random.default_rng(trials)
+    y, gains, nv = random_batch(system, 12.0, rng, "uplink_rayleigh", trials)
+    split = identity_phase_system(6, low_projection_16point())
+    y_s, gains_s, nv_s = random_batch(split, 12.0, rng, "awgn", trials)
+    gains_s = gains_s * np.abs(rng.standard_normal((trials, 6, 1)))
+    got = batch_mpa(y, gains, system, nv, 6, damping)
+    got_split = batch_split(y_s, gains_s, split, nv_s, 5)
     monkeypatch.setattr(mpa_detector, "_distinct", lambda values: (values, None))
-    assert np.array_equal(got, batch_mpa(y, gains, system, nv, 6))
+    assert np.array_equal(got, batch_mpa(y, gains, system, nv, 6, damping))
+    assert np.array_equal(got_split, batch_split(y_s, gains_s, split, nv_s, 5))
 
 
 def test_distinct_value_split_tables_keep_the_marginals(monkeypatch):
