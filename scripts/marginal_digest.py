@@ -1,0 +1,122 @@
+"""One sha256 over the detector marginals of a fixed matrix of cases.
+
+A kernel refactor that claims "same bits" runs this script on the source
+tree before and after the change and compares the two lines:
+
+    python scripts/marginal_digest.py src            # this tree
+    python scripts/marginal_digest.py /path/to/src   # another checkout
+
+The argument is the directory that holds the `scma` package; it is put
+first on the import path. The matrix is engines x systems x channels x SNR
+x trial counts:
+
+* engines: `batch_mpa` at damping 0 and 0.3, `batch_mpa` on collapsed
+  projections, and `batch_split` where it applies (separable systems and
+  real gains: the uplink gains enter as their magnitudes);
+* systems: 4pt, LDS (M = 4 and 16), T16 and lowproj (J = 6, 4, 2) on
+  K = 4, N = 2, and, for split only, T16 and lowproj with all-ones phases;
+* channels: AWGN and uplink Rayleigh; SNR 8 and 20 dB (per layer);
+* trials per call: 1, 2, 17, 129 and 512.
+
+Each case draws its trials from its own seeded generator, and the digest
+covers each case's name and its marginals' bytes, in a fixed order.
+Runtime: about 15 seconds on a 2-core machine.
+"""
+
+import argparse
+import hashlib
+import sys
+
+import numpy as np
+
+SYSTEMS = [("4pt", 6, 4), ("lds", 6, 4), ("lds", 6, 16), ("t16", 6, 16),
+           ("lowproj", 6, 16), ("lowproj", 4, 16), ("lowproj", 2, 16)]
+MODES = ("awgn", "uplink_rayleigh")
+SNRS_DB = (8.0, 20.0)
+TRIALS = (1, 2, 17, 129, 512)
+MAX_ITER = 4
+
+
+def identity_phase_system(scma, mother):
+    """Full K = 4, N = 2 graph with all-ones phases: separable with any
+    mother that factors into real and imaginary parts."""
+    graph = scma.factor_graph.build_full_graph(4, 2)
+    ops = tuple(scma.codebook.LayerOperator(phases=np.ones(2, dtype=complex))
+                for _ in range(graph.n_layers))
+    cbs = tuple(
+        scma.codebook.build_codebook(
+            mother, op, scma.factor_graph.mapping_matrix(graph.signature(j)))
+        for j, op in enumerate(ops)
+    )
+    return scma.codebook.ScmaSystem(graph=graph, mother=mother, operators=ops, codebooks=cbs)
+
+
+def trials(scma, system, mode, snr_db, size, seed):
+    """(y, gains, noise_var) of `size` seeded trials."""
+    rng = np.random.default_rng(seed)
+    tx = rng.integers(0, system.alphabet_size, (size, system.n_layers))
+    cw = np.stack([system.codebooks[j].codewords[tx[:, j]] for j in range(system.n_layers)],
+                  axis=1)
+    gains = scma.channel_model.sample_gains(
+        mode, system.n_layers, system.n_resources, rng, size=size)
+    nv = scma.channel_model.snr_to_noise_variance(snr_db, system, "per_layer").variance
+    noise = scma.channel_model.sample_noise(nv, system.n_resources, rng, size=size)
+    return (gains * cw).sum(axis=1) + noise, gains, nv
+
+
+def cases(scma):
+    """(name, system, engine, the engine's arguments after noise_var) per
+    system and engine, in a fixed order."""
+    det = scma.mpa_detector
+    named = {(s, j, m): scma.codebook.build_named_system(s, 4, 2, j, m) for s, j, m in SYSTEMS}
+    for (scheme, j, m), system in named.items():
+        name = f"{scheme}-J{j}-M{m}"
+        yield f"{name}/mpa", system, det.batch_mpa, (MAX_ITER,)
+        yield f"{name}/mpa-damped", system, det.batch_mpa, (MAX_ITER, 0.3)
+        tables = det.collapse_projections(system)
+        yield f"{name}/mpa_collapsed", system, det.batch_mpa, (MAX_ITER, 0.0, tables)
+    split = [(f"{s}-J{j}-M{m}", named[(s, j, m)]) for s, j, m in SYSTEMS
+             if named[(s, j, m)].is_separable]
+    for mother in ("t16qam", "low_projection_16point"):
+        system = identity_phase_system(scma, getattr(scma.constellation, mother)())
+        split.append((f"{mother}-identity-phases", system))
+    for name, system in split:
+        yield f"{name}/split", system, det.batch_split, (MAX_ITER,)
+
+
+def digest(scma) -> tuple[str, int]:
+    """(hex sha256 over every case, the number of cases)."""
+    h = hashlib.sha256()
+    count = 0
+    for c, (name, system, engine, args) in enumerate(cases(scma)):
+        for mode in MODES:
+            for snr_db in SNRS_DB:
+                for size in TRIALS:
+                    seed = [c, MODES.index(mode), int(snr_db), size]
+                    y, gains, nv = trials(scma, system, mode, snr_db, size, seed)
+                    if engine is scma.mpa_detector.batch_split:
+                        gains = np.abs(gains)  # split needs real gains
+                    marginals = engine(y, gains, system, nv, *args)
+                    h.update(f"{name}/{mode}/{snr_db}/{size}".encode())
+                    h.update(np.ascontiguousarray(marginals, dtype=np.float64).tobytes())
+                    count += 1
+    return h.hexdigest(), count
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("src", help="directory holding the scma package")
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    import scma.channel_model
+    import scma.codebook
+    import scma.constellation
+    import scma.factor_graph
+    import scma.mpa_detector
+
+    hexdigest, count = digest(scma)
+    print(f"{hexdigest}  {count} cases")
+
+
+if __name__ == "__main__":
+    main()

@@ -278,13 +278,10 @@ def merge_values(values: np.ndarray, tol: float = PROJECTION_MERGE_TOL):
     return np.array(reps), index
 
 
-def projections_per_dim(
-    mother: MotherConstellation, tol: float = PROJECTION_MERGE_TOL
-) -> tuple[int, ...]:
-    """Distinct point values seen on each complex dimension."""
-    return tuple(
-        len(merge_values(mother.points[:, n], tol)[0]) for n in range(mother.n_dims)
-    )
+def projections_per_dim(mother: MotherConstellation) -> tuple[int, ...]:
+    """Distinct point values, merged within PROJECTION_MERGE_TOL, seen on
+    each complex dimension."""
+    return tuple(len(merge_values(mother.points[:, n])[0]) for n in range(mother.n_dims))
 
 
 def dimensional_power_metrics(mother: MotherConstellation) -> DimensionalPower:

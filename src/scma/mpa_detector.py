@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel_model import ChannelRealization
 from .codebook import ScmaSystem
-from .constellation import PROJECTION_MERGE_TOL, merge_values
+from .constellation import merge_values
 
 __all__ = [
     "DetectionResult",
@@ -127,41 +127,21 @@ def _distinct(values: np.ndarray):
     return np.unique(values, return_inverse=True)
 
 
-def _expansion(index, widths) -> np.ndarray:
-    """(A_1 * ... * A_{d-1}, A_d) flat positions, in a table over `widths`
-    values per edge, of every combination of a resource's edges; index[i]
-    maps edge i's symbols to its values, and None keeps the values."""
-    flat = np.zeros((), dtype=np.intp)
-    for idx, width in zip(index, widths):
-        flat = flat[..., None] * width + (np.arange(width) if idx is None else idx)
-    return flat.reshape(-1, flat.shape[-1])
-
-
-def _view_plan(index, widths):
-    """Per level of _leave_one_out, from a resource's d edges down to its
-    first: (positions of the level's last view, positions of its rest view,
-    the index of its last edge), in a table over `widths` distinct values
-    per edge (see _expansion); None where a view is the table itself.
-
-    The last view expands every edge but the last to its symbols, and the
-    rest view only the last edge. A table without repeats is its own views.
-    """
-    plan = []
-    for d in range(len(index), 0, -1):
-        idx, width = index[:d], widths[:d]
-        last = None if all(i is None for i in idx[:-1]) else _expansion(idx[:-1] + [None], width)
-        rest = None if idx[-1] is None else _expansion([None] * (d - 1) + idx[-1:], width)
-        plan.append((last, rest, idx[-1]))
-    return plan
-
-
-def _views(table, level):
-    """(last view, rest view) of a table at one level of a view plan."""
-    last, rest, _ = level
-    if last is None and rest is None:
-        return table, table
-    flat = table.reshape(-1, table.shape[-1])
-    return flat if last is None else flat[last], flat if rest is None else flat[rest]
+def _plan(index, widths):
+    """(rows, tail) of a resource whose edges' symbols map to `widths`
+    distinct values each by `index` (None: one value per symbol): rows[s] is
+    the row, in a table over the distinct values, of the s-th symbol
+    combination of every edge but the last, and tail is the last edge's
+    index. Either is None where it would be the identity."""
+    if not index:
+        return None, None
+    *head, tail = index
+    if all(i is None for i in head):
+        return None, tail
+    rows = np.zeros((), dtype=np.intp)
+    for idx, width in zip(head, widths):
+        rows = rows[..., None] * width + (np.arange(width) if idx is None else idx)
+    return rows.ravel(), tail
 
 
 def _resource_tables(y, edge_values, res_edges, noise_var, plans):
@@ -169,8 +149,10 @@ def _resource_tables(y, edge_values, res_edges, noise_var, plans):
     every sum s of its edges' values, or None without edges; entries whose
     exp argument is below EXP_FLUSH_ARG are 0. The first d - 1 edges fold
     into a complex residual y_k - s; the energy against the last is real
-    arithmetic. A table is returned as its two top-level views under
-    plans[k] (see _view_plan), each (rows, columns, T).
+    arithmetic. A table is returned as its two views under plans[k] (see
+    _plan): table[rows], every edge but the last at its symbols, and
+    table[:, tail], the last edge at its symbols; each a C-ordered
+    (rows, columns, T) array.
 
     A table is built in row blocks, in two passes: the first forms each
     block's energy and keeps a running per-trial minimum, the second shifts,
@@ -179,8 +161,8 @@ def _resource_tables(y, edge_values, res_edges, noise_var, plans):
     largest block.
 
     edge_values[e] holds an edge's distinct values: the table is built once
-    over their combinations, and each view gathers from it by one flat
-    index. Every entry is computed by the same operations as entry by entry,
+    over their combinations, and each view gathers from it by one index
+    array. Every entry is computed by the same operations as entry by entry,
     so the views hold the bits of a table built over every symbol.
     """
     t_count = y.shape[-1]
@@ -211,24 +193,27 @@ def _resource_tables(y, edge_values, res_edges, noise_var, plans):
             energy -= low
             energy /= -noise_var
             _exp_flushed(energy, scratch[: energy.size].reshape(energy.shape))
-        tables.append(_views(table, plans[k][0]))
+        rows, tail = plans[k]
+        tables.append((table if rows is None else table[rows],
+                       table if tail is None else table.take(tail, axis=1)))
     return tables
 
 
-def _leave_one_out(views, msgs, plan):
+def _leave_one_out(views, msgs, plan=(None, None)):
     """out[i][a_i, t]: the sum of a table's entries over every axis but i,
     weighted by the messages on those axes; msgs hold one message per axis
     over its symbols, and views are the table's (last, rest) views under
-    plan[0] (see _view_plan), holding the axes in order, then trials.
+    plan (see _plan), holding the axes in order, then trials.
 
     Two contractions per level: the outer product of all but the last
     message against the last view gives the last axis's output at its
-    distinct values, copied to its symbols by one gather; the rest view
-    against the last message drops that axis for the next level, at the
-    distinct values of the other axes. The first runs block by block over
-    the rows of the symbol-level table, so its sums group as over that
-    table; a table without repeats runs both in one block loop, so the
-    second reads a block from cache.
+    distinct values, copied to its symbols by the plan's tail; the rest
+    view against the last message drops that axis, and the plan's rows copy
+    the result to the symbols of the other axes. The first runs block by
+    block over the rows of the symbol-level table, so its sums group as
+    over that table. Every level below the top is a symbol-level table
+    without repeats: it is its own views and runs both contractions in one
+    block loop, so the second reads a block from cache.
     """
     last_view, rest_view = views
     t_count = rest_view.shape[-1]
@@ -252,10 +237,10 @@ def _leave_one_out(views, msgs, plan):
             if g is h:
                 parts.append(np.einsum("pat,at->pt", block, msgs[-1]))
         rest = np.concatenate(parts) if g is h else np.einsum("pat,at->pt", h, msgs[-1])
-    index = plan[0][2]
-    if index is not None:
-        last = last[index]
-    return _leave_one_out(_views(rest, plan[1]), msgs[:-1], plan[1:]) + [last]
+    head, tail = plan
+    last = last if tail is None else last[tail]
+    rest = rest if head is None else rest[head]
+    return _leave_one_out((rest, rest), msgs[:-1]) + [last]
 
 
 def _run_mpa(
@@ -280,13 +265,13 @@ def _run_mpa(
     alphabet, summed onto the projections on the way into a resource.
     When edge_index[e] is not None, edge_values[e] holds the edge's distinct
     values and edge_index[e] maps each symbol to one of them; the tables are
-    built and contracted over those (see _view_plan) with the bits of tables
+    built and contracted over those (see _plan) with the bits of tables
     over every symbol. Messages are (E, alphabet, T); lay_edges holds each
     layer's N edges.
     """
     t_count = y.shape[-1]
     l2r = r2l = np.full((len(edge_values), alphabet, t_count), 1.0 / alphabet)
-    plans = [_view_plan([edge_index[e] for e in es], [len(edge_values[e]) for e in es])
+    plans = [_plan([edge_index[e] for e in es], [len(edge_values[e]) for e in es])
              for es in res_edges]
     tables = _resource_tables(y, edge_values, res_edges, noise_var, plans)
     n = lay_edges.shape[1]  # others[i]: the positions of a layer's edges but its i-th
@@ -314,10 +299,11 @@ def _run_mpa(
 # public batched engines (leading trial axis)
 
 
-def _trial_slices(body, y, gains, step: int | None = None) -> np.ndarray:
+def _trial_slices(body, y, gains, system, step: int | None = None) -> np.ndarray:
     """(T, J, M) marginals of an engine whose body(y, gains) maps the (K, T)
     received values and (T, J, K) gains of a slice of at most `step` trials
-    (all of them by default) to their (J, M, T) marginals.
+    (all of them by default) to their (J, M, T) marginals. y (one trial may
+    be 1-D) and gains must match the system's shape and be finite.
 
     numpy runs a body's sums with the trial axis innermost, so a trial's
     terms add in axis order and get the same bits at any call size; a lone
@@ -329,6 +315,15 @@ def _trial_slices(body, y, gains, step: int | None = None) -> np.ndarray:
     gains = np.asarray(gains, dtype=np.complex128)
     if not len(y):
         raise ValueError("detection needs at least one trial")
+    j_count, k_count = system.n_layers, system.n_resources
+    if y.ndim != 2 or y.shape[1] != k_count:
+        raise ValueError(f"y must be (T, {k_count}) received values, got shape {y.shape}")
+    if gains.shape != (len(y), j_count, k_count):
+        raise ValueError(
+            f"gains must be ({len(y)}, {j_count}, {k_count}) to match y, got shape {gains.shape}"
+        )
+    if not (np.isfinite(y).all() and np.isfinite(gains).all()):
+        raise ValueError("y and gains must be finite")
     step = step or len(y) + 1
     parts = []
     for lo in range(0, len(y), step):
@@ -381,7 +376,7 @@ def batch_mpa(
             system.alphabet_size, noise_var, max_iter, damping,
         )
 
-    return _trial_slices(body, y, gains)
+    return _trial_slices(body, y, gains, system)
 
 
 def batch_map(
@@ -441,7 +436,7 @@ def batch_map(
                 marginals[j] = part.sum(axis=others)
         return marginals
 
-    marginals = _trial_slices(body, y, gains, max(1, MAX_JOINT_HYPOTHESES // total))
+    marginals = _trial_slices(body, y, gains, system, max(1, MAX_JOINT_HYPOTHESES // total))
     return marginals / marginals.sum(axis=2, keepdims=True)
 
 
@@ -488,7 +483,7 @@ def batch_split(
         combined = marg_re[:, :, None] * marg_im[:, None]
         return _normalise(combined.reshape(system.n_layers, -1, y.shape[1]))
 
-    return _trial_slices(body, y, gains)
+    return _trial_slices(body, y, gains, system)
 
 
 # ---------------------------------------------------------------------------
@@ -566,20 +561,15 @@ def split_detect(
     return _detect_one(batch_split, max_iter, y, system, channel, noise_var, max_iter)
 
 
-def collapse_projections(
-    system: ScmaSystem, tol: float = PROJECTION_MERGE_TOL
-) -> dict:
+def collapse_projections(system: ScmaSystem) -> dict:
     """Distinct projected codeword values per (resource, layer) edge, as
-    {(k, j): (values, index)}: values are the distinct projections of layer
-    j's codewords on resource k and index maps each symbol to its value.
-    Symbols sharing a projection are interchangeable inside that resource
-    update, so their message mass can be aggregated."""
-    tables = {}
-    for k in range(system.n_resources):
-        for j in system.graph.layers_at(k):
-            vals, idx = merge_values(system.codebooks[j].codewords[:, k], tol)
-            tables[(k, j)] = (vals, idx)
-    return tables
+    {(k, j): (values, index)}: values are the projections of layer j's
+    codewords on resource k merged within PROJECTION_MERGE_TOL, and index
+    maps each symbol to its value. Symbols sharing a projection are
+    interchangeable inside that resource update, so their message mass can
+    be aggregated."""
+    return {(k, j): merge_values(system.codebooks[j].codewords[:, k])
+            for k in range(system.n_resources) for j in system.graph.layers_at(k)}
 
 
 def has_rounded_repeats(system: ScmaSystem, split: bool = False) -> bool:

@@ -321,7 +321,17 @@ def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     assert np.abs(got - reference_mpa(y, gains, system, nv, 4)).max() <= 1e-9
 
 
-@pytest.mark.parametrize("trials", [1, 17, 129])
+def _expanded_rows(index, widths):
+    """The row, in a table over `widths` values per edge, of every symbol
+    combination of the edges, whose index maps symbols to values (None: one
+    value per symbol)."""
+    rows = np.zeros((), dtype=np.intp)
+    for idx, width in zip(index, widths):
+        rows = rows[..., None] * width + (np.arange(width) if idx is None else idx)
+    return rows.ravel()
+
+
+@pytest.mark.parametrize("trials", [1, 3, 17, 129])
 def test_distinct_value_tables_equal_tables_over_every_symbol(trials):
     # the two views of a table built over each edge's distinct values hold
     # the bits of the table built entry by entry: the last view at each
@@ -337,43 +347,91 @@ def test_distinct_value_tables_equal_tables_over_every_symbol(trials):
     y_t = np.ascontiguousarray(y.T)
     full = mpa_detector._resource_tables(
         y_t, [gains[:, j, k] * col[:, None] for (k, j), col in zip(edges, columns)],
-        res_edges, nv, [mpa_detector._view_plan([None] * 3, [16] * 3)] * 4,
+        res_edges, nv, [mpa_detector._plan([None] * 3, [16] * 3)] * 4,
     )
+    plans = [mpa_detector._plan([distinct[e][1] for e in es], [9] * 3) for es in res_edges]
     views = mpa_detector._resource_tables(
         y_t, [gains[:, j, k] * vals[:, None] for (k, j), (vals, _) in zip(edges, distinct)],
-        res_edges, nv,
-        [mpa_detector._view_plan([distinct[e][1] for e in es], [9] * 3) for es in res_edges],
+        res_edges, nv, plans,
     )
-    for (last, rest), (table, same), es in zip(views, full, res_edges):
+    for (last, rest), (table, same), (rows, tail), es in zip(views, full, plans, res_edges):
         assert table is same and table.shape == (256, 16, trials)
         index = [distinct[e][1] for e in es]
-        rows = mpa_detector._expansion(index[:-1], [9, 9]).ravel()
-        assert np.array_equal(last[:, index[-1]], table)
+        assert np.array_equal(rows, _expanded_rows(index[:-1], [9, 9]))
+        assert tail is index[-1]
+        assert np.array_equal(last[:, tail], table)
         assert np.array_equal(rest[rows], table)
+
+
+def _record_contractions(monkeypatch, levels):
+    """Patch _leave_one_out to append (views, plan) of each call on `levels`
+    messages to a list, which it returns."""
+    contract = mpa_detector._leave_one_out
+    seen = []
+
+    def record(views, msgs, plan=(None, None)):
+        if len(msgs) == levels:
+            seen.append((views, plan))
+        return contract(views, msgs, plan)
+
+    monkeypatch.setattr(mpa_detector, "_leave_one_out", record)
+    return seen
 
 
 def test_plain_lowproj_contracts_distinct_value_views(monkeypatch):
     # a lowproj resource's top-level contractions see 256 x 9 and 81 x 16
     # entries per trial, not 256 x 16 twice; a 4pt table is its own views
-    contract = mpa_detector._leave_one_out
-    seen = []
-
-    def record(views, msgs, plan):
-        if len(msgs) == 3:
-            seen.append(views)
-        return contract(views, msgs, plan)
-
-    monkeypatch.setattr(mpa_detector, "_leave_one_out", record)
+    seen = _record_contractions(monkeypatch, 3)
     system = build_named_system("lowproj", 4, 2, 6, 16)
     y, gains, nv = random_batch(system, 12.0, np.random.default_rng(19), "uplink_rayleigh", 5)
     batch_mpa(y, gains, system, nv, 2)
     assert len(seen) == 2 * system.n_resources
-    assert all(last.shape == (256, 9, 5) and rest.shape == (81, 16, 5) for last, rest in seen)
+    assert all(last.shape == (256, 9, 5) and rest.shape == (81, 16, 5)
+               for (last, rest), _ in seen)
     seen.clear()
     system = build_named_system("4pt", 4, 2, 6, 4)
     y, gains, nv = random_batch(system, 12.0, np.random.default_rng(19), "awgn", 5)
     batch_mpa(y, gains, system, nv, 2)
-    assert seen and all(last is rest and last.shape == (16, 4, 5) for last, rest in seen)
+    assert seen and all(last is rest and last.shape == (16, 4, 5) and plan == (None, None)
+                        for (last, rest), plan in seen)
+
+
+def test_plain_lowproj_second_level_sees_a_symbol_level_table(monkeypatch):
+    # below the top level a lowproj resource's rest is gathered to its
+    # symbols once: a (256, T) table without repeats that is its own views
+    seen = _record_contractions(monkeypatch, 2)
+    system = build_named_system("lowproj", 4, 2, 6, 16)
+    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(20), "uplink_rayleigh", 5)
+    batch_mpa(y, gains, system, nv, 2)
+    assert len(seen) == 2 * system.n_resources
+    assert all(last is rest and rest.shape == (256, 5) and plan == (None, None)
+               for (last, rest), plan in seen)
+
+
+def test_plan_of_a_resource_without_edges():
+    # a J = 1 system leaves resources without edges (see
+    # test_single_layer_mpa_equals_map); their plan is empty
+    assert mpa_detector._plan([], []) == (None, None)
+
+
+def test_run_mpa_never_sees_a_lone_trial(monkeypatch):
+    # a lone trial would leave a summed axis innermost in the kernel's
+    # contractions, so batch_mpa and batch_split pass it on as two copies
+    run = mpa_detector._run_mpa
+    counts = []
+    monkeypatch.setattr(
+        mpa_detector, "_run_mpa", lambda y, *a: counts.append(y.shape[-1]) or run(y, *a)
+    )
+    system = build_named_system("lowproj", 4, 2, 2, 16)
+    assert system.is_separable
+    tables = collapse_projections(system)
+    for trials in (1, 5):
+        y, gains, nv = random_batch(system, 12.0, np.random.default_rng(trials), "awgn", trials)
+        batch_mpa(y, gains, system, nv, 2)
+        batch_mpa(y, gains, system, nv, 2, 0.0, tables)
+        batch_split(y, gains, system, nv, 2)
+        mpa_detect(y[0], system, awgn_channel(system), nv, 2)
+    assert len(counts) == 2 * 5 and min(counts) == 2 and max(counts) == 5
 
 
 def _symbol_index(rng, symbols, values):
@@ -385,7 +443,7 @@ def _symbol_index(rng, symbols, values):
     return rng.permutation(np.concatenate([np.arange(values), extra]))
 
 
-@pytest.mark.parametrize("trials", [1, 2, 17, 129])
+@pytest.mark.parametrize("trials", [1, 2, 3, 17, 129])
 @pytest.mark.parametrize(
     "symbols,values",
     [
@@ -405,12 +463,16 @@ def test_leave_one_out_on_views_matches_the_expanded_table(symbols, values, tria
     index = [_symbol_index(rng, m, v) for m, v in zip(symbols, values)]
     distinct = rng.random((math.prod(values), trials))
     distinct[distinct < 0.2] = 0.0
-    expanded = distinct[mpa_detector._expansion(index, values)]
+    expanded = distinct[_expanded_rows(index, values)].reshape(-1, symbols[-1], trials)
     msgs = [rng.random((m, trials)) for m in symbols]
-    plain = mpa_detector._view_plan([None] * len(symbols), symbols)
-    want = mpa_detector._leave_one_out((expanded, expanded), msgs, plain)
-    plan = mpa_detector._view_plan(index, values)
-    got = mpa_detector._leave_one_out(mpa_detector._views(distinct, plan[0]), msgs, plan)
+    want = mpa_detector._leave_one_out((expanded, expanded), msgs)
+    rows, tail = plan = mpa_detector._plan(index, values)
+    table = distinct.reshape(-1, values[-1], trials)
+    views = (table if rows is None else table[rows],
+             table if tail is None else table.take(tail, axis=1))
+    assert views[0].shape[:2] == (math.prod(symbols[:-1]), values[-1])
+    assert views[1].shape[:2] == (math.prod(values[:-1]), symbols[-1])
+    got = mpa_detector._leave_one_out(views, msgs, plan)
     assert len(got) == len(want) == len(symbols)
     for g, w, m in zip(got, want, symbols):
         assert g.shape == w.shape == (m, trials)
@@ -892,6 +954,42 @@ def test_batch_engines_reject_tables_over_the_cap(monkeypatch):
         monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", sum(counts) - 1)
         with pytest.raises(ValueError, match="likelihood tables hold"):
             run()
+
+
+@pytest.mark.parametrize("engine", [batch_mpa, batch_map, batch_split])
+def test_batch_engines_reject_malformed_or_non_finite_input(engine):
+    # one check at the trial-slicing boundary: y must be (T, K), gains
+    # (T, J, K), and both finite, for every engine
+    system = build_named_system("lowproj", 4, 2, 2, 16)
+    assert system.is_separable
+    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(22), "awgn", 3)
+    assert engine(y, gains, system, nv).shape == (3, 2, 16)
+    wide = np.concatenate([y, y[:, :1]], axis=1)
+    for bad_y in (wide, y[:, :3], y[None]):
+        with pytest.raises(ValueError, match="y must be"):
+            engine(bad_y, gains, system, nv)
+    for bad_gains in (np.concatenate([gains, gains[:, :1]], axis=1), gains[:2], gains[0]):
+        with pytest.raises(ValueError, match="gains must be"):
+            engine(y, bad_gains, system, nv)
+    for value in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        for bad_y, bad_gains in ((y.copy(), gains), (y, gains.copy())):
+            (bad_y if bad_y is not y else bad_gains)[1, 0] = value
+            with pytest.raises(ValueError, match="finite"):
+                engine(bad_y, bad_gains, system, nv)
+
+
+def test_single_shot_detectors_reject_a_received_vector_of_the_wrong_length():
+    system = build_named_system("lowproj", 4, 2, 2, 16)
+    y, ch, nv, _ = random_received(system, 12.0, np.random.default_rng(23))
+    for detect in (mpa_detect, map_joint_oracle, split_detect):
+        assert detect(y, system, ch, nv).marginals.shape == (2, 16)
+        for bad in (np.concatenate([y, y[:2]]), y[:3]):
+            with pytest.raises(ValueError, match="y must be"):
+                detect(bad, system, ch, nv)
+        bad = y.copy()
+        bad[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            detect(bad, system, ch, nv)
 
 
 @pytest.mark.parametrize("engine", [batch_mpa, batch_map, batch_split])
