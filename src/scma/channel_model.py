@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.variance) and self.variance > 0):
-            raise ValueError("variance must be positive and finite")
+            raise ValueError("noise variance must be positive and finite")
         if self.snr_convention not in SNR_CONVENTIONS:
             raise ValueError(f"unknown convention {self.snr_convention!r}")
 
@@ -118,9 +119,13 @@ def snr_to_noise_variance(snr_db: float, system, convention: str) -> NoiseModel:
     per_layer compares one layer's average per-resource energy (1/K, unit
     codeword energy spread over the K resources) against the noise, so
     sigma^2 = 10**(-snr/10) / K. total accounts all J layers together:
-    sigma^2 = (J/K) * 10**(-snr/10). Both agree at J = 1.
+    sigma^2 = (J/K) * 10**(-snr/10). Both agree at J = 1. `system` needs
+    only n_resources and n_layers.
     """
-    lin = 10.0 ** (-snr_db / 10.0)
+    try:
+        lin = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        lin = math.inf  # NoiseModel rejects it
     k = system.n_resources
     j = system.n_layers
     if convention == "per_layer":

@@ -56,7 +56,9 @@ class DetectionResult:
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    """Per-resource hypothesis counts of the detector variants."""
+    """Per-resource hypothesis counts of the detector variants; `plain`
+    counts symbol combinations, which `mpa` enumerates only on a design
+    without exact repeats (see batch_mpa)."""
 
     degrees: tuple[int, ...]
     plain: tuple[int, ...]
@@ -119,51 +121,30 @@ def _row_blocks(rows: int, cols: int) -> tuple[slice, ...]:
 
 
 def _distinct(values: np.ndarray):
-    """(distinct values, each entry's index into them) of a 1-D array, or
-    (values, None) when no entry repeats exactly. A set-size check decides,
-    so an array without repeats costs microseconds."""
-    if len(set(values.tolist())) == len(values):
+    """(distinct values in order of first appearance, each entry's index
+    into them) of a 1-D array, as merge_values lists them, or (values, None)
+    when no entry repeats exactly."""
+    first = {}
+    index = np.array([first.setdefault(v, len(first)) for v in values.tolist()])
+    if len(first) == len(values):
         return values, None
-    return np.unique(values, return_inverse=True)
+    return np.array(list(first), dtype=values.dtype), index
 
 
-def _plan(index, widths):
-    """(rows, tail) of a resource whose edges' symbols map to `widths`
-    distinct values each by `index` (None: one value per symbol): rows[s] is
-    the row, in a table over the distinct values, of the s-th symbol
-    combination of every edge but the last, and tail is the last edge's
-    index. Either is None where it would be the identity."""
-    if not index:
-        return None, None
-    *head, tail = index
-    if all(i is None for i in head):
-        return None, tail
-    rows = np.zeros((), dtype=np.intp)
-    for idx, width in zip(head, widths):
-        rows = rows[..., None] * width + (np.arange(width) if idx is None else idx)
-    return rows.ravel(), tail
-
-
-def _resource_tables(y, edge_values, res_edges, noise_var, plans):
+def _resource_tables(y, edge_values, res_edges, noise_var):
     """Per resource, exp(-(|y_k - s|^2 - min_s |y_k - s|^2) / noise_var) over
     every sum s of its edges' values, or None without edges; entries whose
     exp argument is below EXP_FLUSH_ARG are 0. The first d - 1 edges fold
     into a complex residual y_k - s; the energy against the last is real
-    arithmetic. A table is returned as its two views under plans[k] (see
-    _plan): table[rows], every edge but the last at its symbols, and
-    table[:, tail], the last edge at its symbols; each a C-ordered
-    (rows, columns, T) array.
+    arithmetic. A table is a C-ordered (rows, columns, T) array: rows over
+    the value combinations of every edge but the last, columns over the
+    last edge's values.
 
     A table is built in row blocks, in two passes: the first forms each
     block's energy and keeps a running per-trial minimum, the second shifts,
     scales and flushes each block. The imaginary part and then the flush
     mask of a block live in one scratch buffer per call, the size of the
     largest block.
-
-    edge_values[e] holds an edge's distinct values: the table is built once
-    over their combinations, and each view gathers from it by one index
-    array. Every entry is computed by the same operations as entry by entry,
-    so the views hold the bits of a table built over every symbol.
     """
     t_count = y.shape[-1]
     scratch = np.empty(0)
@@ -193,60 +174,46 @@ def _resource_tables(y, edge_values, res_edges, noise_var, plans):
             energy -= low
             energy /= -noise_var
             _exp_flushed(energy, scratch[: energy.size].reshape(energy.shape))
-        rows, tail = plans[k]
-        tables.append((table if rows is None else table[rows],
-                       table if tail is None else table.take(tail, axis=1)))
+        tables.append(table)
     return tables
 
 
-def _leave_one_out(views, msgs, plan=(None, None)):
+def _leave_one_out(table, msgs):
     """out[i][a_i, t]: the sum of a table's entries over every axis but i,
-    weighted by the messages on those axes; msgs hold one message per axis
-    over its symbols, and views are the table's (last, rest) views under
-    plan (see _plan), holding the axes in order, then trials.
+    weighted by the messages on those axes; the table holds the axes in
+    order, then trials, and msgs hold one message per axis.
 
     Two contractions per level: the outer product of all but the last
-    message against the last view gives the last axis's output at its
-    distinct values, copied to its symbols by the plan's tail; the rest
-    view against the last message drops that axis, and the plan's rows copy
-    the result to the symbols of the other axes. The first runs block by
-    block over the rows of the symbol-level table, so its sums group as
-    over that table. Every level below the top is a symbol-level table
-    without repeats: it is its own views and runs both contractions in one
-    block loop, so the second reads a block from cache.
+    message against the table gives the last axis's output, and the table
+    against the last message drops that axis for the next level. Both run
+    in one loop over the table's row blocks, so the second reads a block
+    from cache.
     """
-    last_view, rest_view = views
-    t_count = rest_view.shape[-1]
+    t_count = table.shape[-1]
     if len(msgs) == 1:
-        return [rest_view.reshape(-1, t_count)]
+        return [table.reshape(-1, t_count)]
     w = msgs[0]
     for m in msgs[1:-1]:
         w = (w[:, None] * m).reshape(-1, t_count)
     rows, cols = len(w), len(msgs[-1])
-    g = last_view.reshape(rows, -1, t_count)
-    h = g if last_view is rest_view else rest_view.reshape(-1, cols, t_count)
+    g = table.reshape(rows, cols, t_count)
     if rows * cols <= ROW_BLOCK_ENTRIES:  # one block: skip the block loop
         last = np.einsum("pat,pt->at", g, w)
-        rest = np.einsum("pat,at->pt", h, msgs[-1])
+        rest = np.einsum("pat,at->pt", g, msgs[-1])
     else:
         last, parts = None, []
         for b in _row_blocks(rows, cols):
             block = g[b]
             part = np.einsum("pat,pt->at", block, w[b])
             last = part if last is None else np.add(last, part, out=last)
-            if g is h:
-                parts.append(np.einsum("pat,at->pt", block, msgs[-1]))
-        rest = np.concatenate(parts) if g is h else np.einsum("pat,at->pt", h, msgs[-1])
-    head, tail = plan
-    last = last if tail is None else last[tail]
-    rest = rest if head is None else rest[head]
-    return _leave_one_out((rest, rest), msgs[:-1]) + [last]
+            parts.append(np.einsum("pat,at->pt", block, msgs[-1]))
+        rest = np.concatenate(parts)
+    return _leave_one_out(rest, msgs[:-1]) + [last]
 
 
 def _run_mpa(
     y: np.ndarray,
     edge_values: list[np.ndarray],
-    edge_proj: list[np.ndarray | None],
     edge_index: list[np.ndarray | None],
     res_edges,
     lay_edges,
@@ -259,21 +226,19 @@ def _run_mpa(
     the (J, alphabet, T) marginals.
 
     y is (K, T), real or complex; edge_values[e] is (A_e, T) with the
-    channel already folded in. When edge_proj[e] is not None the edge works
-    on A_e merged projections and edge_proj[e] is the (A_e, alphabet)
-    indicator of each symbol's projection; messages still live on the full
-    alphabet, summed onto the projections on the way into a resource.
-    When edge_index[e] is not None, edge_values[e] holds the edge's distinct
-    values and edge_index[e] maps each symbol to one of them; the tables are
-    built and contracted over those (see _plan) with the bits of tables
-    over every symbol. Messages are (E, alphabet, T); lay_edges holds each
-    layer's N edges.
+    channel already folded in. When edge_index[e] is not None, edge e's
+    A_e values are shared by several symbols and edge_index[e] maps each
+    symbol to its value: the tables are built and contracted over the
+    values, a message is summed onto them on its way into a resource, and
+    the value's output is copied back to its symbols. Messages are
+    (E, alphabet, T); lay_edges holds each layer's N edges.
     """
     t_count = y.shape[-1]
     l2r = r2l = np.full((len(edge_values), alphabet, t_count), 1.0 / alphabet)
-    plans = [_plan([edge_index[e] for e in es], [len(edge_values[e]) for e in es])
-             for es in res_edges]
-    tables = _resource_tables(y, edge_values, res_edges, noise_var, plans)
+    # per edge with an index, the (A_e, alphabet) indicator of each symbol's value
+    onto = [None if idx is None else np.eye(len(vals))[:, idx]
+            for vals, idx in zip(edge_values, edge_index)]
+    tables = _resource_tables(y, edge_values, res_edges, noise_var)
     n = lay_edges.shape[1]  # others[i]: the positions of a layer's edges but its i-th
     others = [[i2 for i2 in range(n) if i2 != i] for i in range(n)]
     out = np.empty_like(r2l)
@@ -281,11 +246,10 @@ def _run_mpa(
         for k, es in enumerate(res_edges):
             if tables[k] is None:
                 continue
-            proj = [edge_proj[e] for e in es]
-            incoming = [m if p is None else np.einsum("am,mt->at", p, m)
-                        for p, m in zip(proj, l2r[es])]
-            for e, p, o in zip(es, proj, _leave_one_out(tables[k], incoming, plans[k])):
-                out[e] = o if p is None else p.T @ o
+            incoming = [m if onto[e] is None else np.einsum("am,mt->at", onto[e], m)
+                        for e, m in zip(es, l2r[es])]
+            for e, o in zip(es, _leave_one_out(tables[k], incoming)):
+                out[e] = o if edge_index[e] is None else o[edge_index[e]]
         r2l = _damped(_normalise(out), r2l, damping)
         if it == max_iter - 1:
             break  # the marginals read r2l only
@@ -347,32 +311,25 @@ def batch_mpa(
     """MPA marginals for a stack of trials; returns (T, J, M).
 
     Runs exactly max_iter flooding iterations (resource updates, then layer
-    updates). With `tables` the per-resource enumeration runs over merged
-    projections instead of raw symbols, which changes nothing but cost.
-    Without them, a likelihood shared by symbols whose codeword values are
-    exactly equal is computed once (see _resource_tables).
+    updates). Each edge's likelihoods are built over its distinct values:
+    the exactly equal codeword values of its symbols, or with `tables` the
+    projections merged within PROJECTION_MERGE_TOL (see
+    collapse_projections), which changes nothing but cost.
     """
     _check_detect_args(noise_var, max_iter, damping)
     edges, res_edges, lay_edges = _edges(system)
-    # per edge, the symbols or merged projections a resource enumerates
-    widths = [system.alphabet_size if tables is None else len(tables[e][0]) for e in edges]
-    _check_table_entries(math.prod(widths[e] for e in es) for es in res_edges)
-    # per edge, its values and each symbol's value: the distinct codeword
-    # values, or the merged projections of `tables`
+    # per edge, its values and each symbol's value (None: one per symbol)
     columns = [_distinct(system.codebooks[j].codewords[:, k]) if tables is None
                else tables[(k, j)] for k, j in edges]
-    # a merged projection's value-by-symbol indicator; the distinct-value
-    # index of a plain edge only shapes its table
-    edge_proj = [None if tables is None else np.eye(len(vals))[:, idx]
-                 for vals, idx in columns]
-    edge_index = [idx if tables is None else None for _, idx in columns]
+    _check_table_entries(math.prod(len(columns[e][0]) for e in es) for es in res_edges)
+    edge_index = [idx for _, idx in columns]
 
     def body(y, gains):
         # (A_e, T) value table of every edge with the channel folded in
         edge_values = [gains[:, j, k] * vals[:, None]
                        for (k, j), (vals, _) in zip(edges, columns)]
         return _run_mpa(
-            y, edge_values, edge_proj, edge_index, res_edges, lay_edges,
+            y, edge_values, edge_index, res_edges, lay_edges,
             system.alphabet_size, noise_var, max_iter, damping,
         )
 
@@ -471,7 +428,7 @@ def batch_split(
             vals.append(gains[:, j, k].real * col[:, None])
             index.append(idx)
         return _run_mpa(
-            y_part, vals, [None] * len(edges), index, res_edges, lay_edges,
+            y_part, vals, index, res_edges, lay_edges,
             len(points), noise_var, max_iter, 0.0,
         )
 
@@ -589,7 +546,8 @@ def has_rounded_repeats(system: ScmaSystem, split: bool = False) -> bool:
 
 
 def complexity_report(system: ScmaSystem) -> ComplexityReport:
-    """Hypothesis counts per resource for plain, collapsed and split MPA."""
+    """Hypothesis counts per resource for plain, collapsed and split MPA;
+    plain counts symbol combinations (see ComplexityReport)."""
     tables = collapse_projections(system)
     degrees = tuple(int(d) for d in system.graph.degrees)
     m = system.alphabet_size

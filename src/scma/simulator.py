@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -96,6 +97,15 @@ class SimConfig:
             raise ValueError("snr grid must be nonempty")
         if not all(math.isfinite(v) for v in self.snr_grid_db):
             raise ValueError("snr grid values must be finite")
+        if min(self.K, self.N, self.J, self.M) < 1:
+            raise ValueError("K, N, J and M must be positive")
+        # each point's noise variance, checked by NoiseModel before any point runs
+        shape = SimpleNamespace(n_resources=self.K, n_layers=self.J)
+        for v in self.snr_grid_db:
+            try:
+                snr_to_noise_variance(v, shape, self.snr_convention)
+            except ValueError as exc:
+                raise ValueError(f"snr grid value {v:g} dB: {exc}") from None
         if self.min_errors < 1:
             raise ValueError("min_errors must be at least 1")
         if self.max_trials < self.min_errors:
@@ -329,10 +339,10 @@ def run_experiment(
     if name not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
     shared, runs = EXPERIMENTS[name]
-    return {
-        label: run_sweep(SimConfig(**{**shared, **runs[label], **fields}))
-        for label in (runs if labels is None else labels)
-    }
+    # every run's config is checked before the first run starts
+    configs = {label: SimConfig(**{**shared, **runs[label], **fields})
+               for label in (runs if labels is None else labels)}
+    return {label: run_sweep(config) for label, config in configs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,16 @@ def test_snr_conversion_total_scales_with_load():
     )
 
 
+def test_snr_conversion_rejects_variances_out_of_range():
+    # 10**310 overflows a float and 10**-400 underflows to 0: both are a
+    # ValueError from NoiseModel, never an OverflowError
+    system = build_named_system("4pt", 4, 2, 6, 4)
+    for snr in (-3100.0, 4000.0):
+        for convention in ("per_layer", "total"):
+            with pytest.raises(ValueError, match="noise variance"):
+                snr_to_noise_variance(snr, system, convention)
+
+
 @given(st.floats(-10, 30), st.floats(0.1, 10))
 def test_snr_conversion_monotone(snr, delta):
     system = build_named_system("lds", 4, 2, 2, 4)

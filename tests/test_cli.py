@@ -111,6 +111,29 @@ def test_simulate_rejects_non_finite_snr(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("snr", ["-3100", "4,4000"])
+def test_snr_without_a_noise_variance_fails_before_any_point(tmp_path, capsys, monkeypatch,
+                                                             command, snr):
+    # -3100 dB overflows 10**(-snr/10) and 4000 dB underflows it to 0; both
+    # end in one error line before the first point runs, and write no CSV
+    import scma.simulator
+
+    calls = []
+    monkeypatch.setattr(scma.simulator, "run_point", lambda *a, **kw: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    main(["design", "--scheme", "4pt", "--out", "4pt.json"])
+    capsys.readouterr()
+    args = (["simulate", "--system", "4pt.json"] if command == "simulate"
+            else ["compare", "--experiment", "power_variation"])
+    assert main(args + [f"--snr={snr}", "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    bad = snr.split(",")[-1]
+    assert err == [f"error: snr grid value {bad} dB: noise variance must be positive and finite"]
+    assert calls == []
+    assert not Path("x.csv").exists()
+
+
 def test_analyze_missing_key_is_clean(tmp_path, capsys):
     sysfile = tmp_path / "sys.json"
     main(["design", "--scheme", "4pt", "--out", str(sysfile)])

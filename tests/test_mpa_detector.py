@@ -305,7 +305,7 @@ def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     # at 20 dB most lowproj hypotheses lie far enough from y that exp
     # underflows; those entries must be an exact 0, and every other entry
     # at least 2**-511, so that its product with a message entry of at
-    # least 2**-511 is never subnormal. Both views of every table count.
+    # least 2**-511 is never subnormal
     build = mpa_detector._resource_tables
     tables = []
     monkeypatch.setattr(
@@ -315,28 +315,17 @@ def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     rng = np.random.default_rng(60)
     y, gains, nv = random_batch(system, 20.0, rng, "uplink_rayleigh", 16)
     got = batch_mpa(y, gains, system, nv, 4)
-    entries = np.concatenate([view.ravel() for views in tables for view in views])
+    assert len(tables) == system.n_resources
+    entries = np.concatenate([table.ravel() for table in tables])
     assert (entries == 0).mean() > 0.1
     assert ((entries == 0) | (entries >= 2.0**-511)).all()
     assert np.abs(got - reference_mpa(y, gains, system, nv, 4)).max() <= 1e-9
 
 
-def _expanded_rows(index, widths):
-    """The row, in a table over `widths` values per edge, of every symbol
-    combination of the edges, whose index maps symbols to values (None: one
-    value per symbol)."""
-    rows = np.zeros((), dtype=np.intp)
-    for idx, width in zip(index, widths):
-        rows = rows[..., None] * width + (np.arange(width) if idx is None else idx)
-    return rows.ravel()
-
-
 @pytest.mark.parametrize("trials", [1, 3, 17, 129])
 def test_distinct_value_tables_equal_tables_over_every_symbol(trials):
-    # the two views of a table built over each edge's distinct values hold
-    # the bits of the table built entry by entry: the last view at each
-    # symbol's value of the last edge, the rest view at each symbol
-    # combination's values of the other edges
+    # a table built over each edge's distinct values holds, at each symbol
+    # combination's values, the bits of the table built over every symbol
     system = build_named_system("lowproj", 4, 2, 6, 16)
     y, gains, nv = random_batch(system, 12.0, np.random.default_rng(trials), "uplink_rayleigh",
                                 trials)
@@ -347,71 +336,41 @@ def test_distinct_value_tables_equal_tables_over_every_symbol(trials):
     y_t = np.ascontiguousarray(y.T)
     full = mpa_detector._resource_tables(
         y_t, [gains[:, j, k] * col[:, None] for (k, j), col in zip(edges, columns)],
-        res_edges, nv, [mpa_detector._plan([None] * 3, [16] * 3)] * 4,
+        res_edges, nv,
     )
-    plans = [mpa_detector._plan([distinct[e][1] for e in es], [9] * 3) for es in res_edges]
-    views = mpa_detector._resource_tables(
+    tables = mpa_detector._resource_tables(
         y_t, [gains[:, j, k] * vals[:, None] for (k, j), (vals, _) in zip(edges, distinct)],
-        res_edges, nv, plans,
+        res_edges, nv,
     )
-    for (last, rest), (table, same), (rows, tail), es in zip(views, full, plans, res_edges):
-        assert table is same and table.shape == (256, 16, trials)
-        index = [distinct[e][1] for e in es]
-        assert np.array_equal(rows, _expanded_rows(index[:-1], [9, 9]))
-        assert tail is index[-1]
-        assert np.array_equal(last[:, tail], table)
-        assert np.array_equal(rest[rows], table)
-
-
-def _record_contractions(monkeypatch, levels):
-    """Patch _leave_one_out to append (views, plan) of each call on `levels`
-    messages to a list, which it returns."""
-    contract = mpa_detector._leave_one_out
-    seen = []
-
-    def record(views, msgs, plan=(None, None)):
-        if len(msgs) == levels:
-            seen.append((views, plan))
-        return contract(views, msgs, plan)
-
-    monkeypatch.setattr(mpa_detector, "_leave_one_out", record)
-    return seen
+    for table, symbol_table, es in zip(tables, full, res_edges):
+        assert table.shape == (81, 9, trials) and symbol_table.shape == (256, 16, trials)
+        index = np.ix_(*(distinct[e][1] for e in es))
+        expanded = table.reshape(9, 9, 9, trials)[index]
+        assert np.array_equal(expanded.reshape(256, 16, trials), symbol_table)
 
 
 def test_plain_lowproj_contracts_distinct_value_views(monkeypatch):
-    # a lowproj resource's top-level contractions see 256 x 9 and 81 x 16
-    # entries per trial, not 256 x 16 twice; a 4pt table is its own views
-    seen = _record_contractions(monkeypatch, 3)
+    # a lowproj resource's top-level contraction sees its (81, 9, T) table
+    # over distinct values and three 9-value messages, not 4096 entries
+    # and 16-symbol messages; a 4pt table has no repeats to merge
+    contract = mpa_detector._leave_one_out
+    seen = []
+
+    def record(table, msgs):
+        if len(msgs) == 3:
+            seen.append((table.shape, [m.shape for m in msgs]))
+        return contract(table, msgs)
+
+    monkeypatch.setattr(mpa_detector, "_leave_one_out", record)
     system = build_named_system("lowproj", 4, 2, 6, 16)
     y, gains, nv = random_batch(system, 12.0, np.random.default_rng(19), "uplink_rayleigh", 5)
     batch_mpa(y, gains, system, nv, 2)
-    assert len(seen) == 2 * system.n_resources
-    assert all(last.shape == (256, 9, 5) and rest.shape == (81, 16, 5)
-               for (last, rest), _ in seen)
+    assert seen == [((81, 9, 5), [(9, 5)] * 3)] * (2 * system.n_resources)
     seen.clear()
     system = build_named_system("4pt", 4, 2, 6, 4)
     y, gains, nv = random_batch(system, 12.0, np.random.default_rng(19), "awgn", 5)
     batch_mpa(y, gains, system, nv, 2)
-    assert seen and all(last is rest and last.shape == (16, 4, 5) and plan == (None, None)
-                        for (last, rest), plan in seen)
-
-
-def test_plain_lowproj_second_level_sees_a_symbol_level_table(monkeypatch):
-    # below the top level a lowproj resource's rest is gathered to its
-    # symbols once: a (256, T) table without repeats that is its own views
-    seen = _record_contractions(monkeypatch, 2)
-    system = build_named_system("lowproj", 4, 2, 6, 16)
-    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(20), "uplink_rayleigh", 5)
-    batch_mpa(y, gains, system, nv, 2)
-    assert len(seen) == 2 * system.n_resources
-    assert all(last is rest and rest.shape == (256, 5) and plan == (None, None)
-               for (last, rest), plan in seen)
-
-
-def test_plan_of_a_resource_without_edges():
-    # a J = 1 system leaves resources without edges (see
-    # test_single_layer_mpa_equals_map); their plan is empty
-    assert mpa_detector._plan([], []) == (None, None)
+    assert seen == [((16, 4, 5), [(4, 5)] * 3)] * (2 * system.n_resources)
 
 
 def test_run_mpa_never_sees_a_lone_trial(monkeypatch):
@@ -434,15 +393,6 @@ def test_run_mpa_never_sees_a_lone_trial(monkeypatch):
     assert len(counts) == 2 * 5 and min(counts) == 2 and max(counts) == 5
 
 
-def _symbol_index(rng, symbols, values):
-    """A random map of `symbols` symbols onto `values` values, each value hit;
-    None when they are one to one."""
-    if symbols == values:
-        return None
-    extra = rng.integers(0, values, symbols - values)
-    return rng.permutation(np.concatenate([np.arange(values), extra]))
-
-
 @pytest.mark.parametrize("trials", [1, 2, 3, 17, 129])
 @pytest.mark.parametrize(
     "symbols,values",
@@ -457,33 +407,36 @@ def _symbol_index(rng, symbols, values):
     ],
 )
 def test_leave_one_out_on_views_matches_the_expanded_table(symbols, values, trials):
-    # contracting the distinct-value views gives the bits of contracting
-    # the table expanded to every symbol combination
+    # the contraction seen over distinct values, as _run_mpa runs it (each
+    # message summed onto an edge's values, each output copied back to the
+    # symbols), matches the contraction of the table expanded to every
+    # symbol combination; the sums group differently, so not to the bit
     rng = np.random.default_rng(sum(symbols) + sum(values) + trials)
-    index = [_symbol_index(rng, m, v) for m, v in zip(symbols, values)]
-    distinct = rng.random((math.prod(values), trials))
-    distinct[distinct < 0.2] = 0.0
-    expanded = distinct[_expanded_rows(index, values)].reshape(-1, symbols[-1], trials)
+    index = []
+    for m, v in zip(symbols, values):  # each of the v values hit by some symbol
+        extra = rng.integers(0, v, m - v)
+        index.append(rng.permutation(np.concatenate([np.arange(v), extra])))
+    table = rng.random((math.prod(values), trials))
+    table[table < 0.2] = 0.0
+    expanded = table.reshape(values + (trials,))[np.ix_(*index)]
     msgs = [rng.random((m, trials)) for m in symbols]
-    want = mpa_detector._leave_one_out((expanded, expanded), msgs)
-    rows, tail = plan = mpa_detector._plan(index, values)
-    table = distinct.reshape(-1, values[-1], trials)
-    views = (table if rows is None else table[rows],
-             table if tail is None else table.take(tail, axis=1))
-    assert views[0].shape[:2] == (math.prod(symbols[:-1]), values[-1])
-    assert views[1].shape[:2] == (math.prod(values[:-1]), symbols[-1])
-    got = mpa_detector._leave_one_out(views, msgs, plan)
+    want = mpa_detector._leave_one_out(expanded.reshape(-1, symbols[-1], trials), msgs)
+    onto = [np.eye(v)[:, idx] for v, idx in zip(values, index)]
+    got = mpa_detector._leave_one_out(
+        table.reshape(-1, values[-1], trials),
+        [np.einsum("am,mt->at", p, m) for p, m in zip(onto, msgs)],
+    )
     assert len(got) == len(want) == len(symbols)
-    for g, w, m in zip(got, want, symbols):
-        assert g.shape == w.shape == (m, trials)
-        assert np.array_equal(g, w)
+    for g, w, idx, m in zip(got, want, index, symbols):
+        assert w.shape == (m, trials) and g.shape == (len(set(idx)), trials)
+        assert np.allclose(g[idx], w, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("trials", [1, 17, 129, 512])
 @pytest.mark.parametrize("damping", [0.0, 0.3])
 def test_distinct_value_views_keep_the_marginals(monkeypatch, damping, trials):
-    # plain lowproj MPA gives the bits it gives with no distinct-value index;
-    # so does split on the identity-phase lowproj system
+    # plain lowproj MPA stays within 1e-12 of itself with no distinct-value
+    # index; so does split on the identity-phase lowproj system
     system = build_named_system("lowproj", 4, 2, 6, 16)
     rng = np.random.default_rng(trials)
     y, gains, nv = random_batch(system, 12.0, rng, "uplink_rayleigh", trials)
@@ -493,20 +446,48 @@ def test_distinct_value_views_keep_the_marginals(monkeypatch, damping, trials):
     got = batch_mpa(y, gains, system, nv, 6, damping)
     got_split = batch_split(y_s, gains_s, split, nv_s, 5)
     monkeypatch.setattr(mpa_detector, "_distinct", lambda values: (values, None))
-    assert np.array_equal(got, batch_mpa(y, gains, system, nv, 6, damping))
-    assert np.array_equal(got_split, batch_split(y_s, gains_s, split, nv_s, 5))
+    assert np.abs(got - batch_mpa(y, gains, system, nv, 6, damping)).max() <= 1e-12
+    assert np.abs(got_split - batch_split(y_s, gains_s, split, nv_s, 5)).max() <= 1e-12
 
 
 def test_distinct_value_split_tables_keep_the_marginals(monkeypatch):
     # the identity-phase lowproj system is separable, and each real part
     # shows 3 distinct values on each dimension
     system = identity_phase_system(6, low_projection_16point())
+    assert all(len(mpa_detector._distinct(col)[0]) == 3
+               for col in system.mother.real_points.T)
     rng = np.random.default_rng(17)
     y, gains, nv = random_batch(system, 12.0, rng, "awgn", 17)
     gains = gains * np.abs(rng.standard_normal((17, 6, 1)))
     got = batch_split(y, gains, system, nv, 5)
     monkeypatch.setattr(mpa_detector, "_distinct", lambda values: (values, None))
-    assert np.array_equal(got, batch_split(y, gains, system, nv, 5))
+    assert np.abs(got - batch_split(y, gains, system, nv, 5)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("trials", [1, 17, 129])
+@pytest.mark.parametrize("damping", [0.0, 0.3])
+@pytest.mark.parametrize("n_layers", [6, 4, 2])
+def test_mpa_and_mpa_collapsed_agree_bitwise_on_lowproj(n_layers, damping, trials):
+    # a fresh lowproj design holds exact projections, so the exact repeats
+    # plain mpa finds are the merged projections of mpa_collapsed, listed
+    # in the same order: the two engines run the same arithmetic
+    system = build_named_system("lowproj", 4, 2, n_layers, 16)
+    tables = collapse_projections(system)
+    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(trials + n_layers),
+                                "uplink_rayleigh", trials)
+    got = batch_mpa(y, gains, system, nv, 4, damping)
+    assert np.array_equal(got, batch_mpa(y, gains, system, nv, 4, damping, tables))
+
+
+def test_distinct_lists_values_in_first_appearance_order():
+    # as merge_values does, so exact and merged repeats give the same edges
+    values = np.array([2.0, -1.0, 2.0, 0.5, -1.0])
+    vals, idx = mpa_detector._distinct(values)
+    assert vals.tolist() == [2.0, -1.0, 0.5] and idx.tolist() == [0, 1, 0, 2, 1]
+    want_vals, want_idx = merge_values(values)
+    assert np.array_equal(vals, want_vals) and np.array_equal(idx, want_idx)
+    same = np.array([1j, 2.0, 3.0])
+    assert mpa_detector._distinct(same)[0] is same and mpa_detector._distinct(same)[1] is None
 
 
 def test_plain_lowproj_builds_each_distinct_likelihood_once(monkeypatch):

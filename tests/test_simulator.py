@@ -69,6 +69,14 @@ def test_config_validation():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             SimConfig(**{**ok, "snr_grid_db": (4.0, bad)})
+    for field in ("K", "N", "J", "M"):
+        with pytest.raises(ValueError, match="must be positive"):
+            SimConfig(**{**ok, field: 0})
+    # finite SNRs whose noise variance overflows or underflows to 0
+    for bad in (-3100.0, 4000.0):
+        for convention in ("per_layer", "total"):
+            with pytest.raises(ValueError, match=f"snr grid value {bad:g} dB"):
+                SimConfig(**{**ok, "snr_grid_db": (4.0, bad), "snr_convention": convention})
     with pytest.raises(ValueError):
         SimConfig(**{**ok, "min_errors": 0})
     with pytest.raises(ValueError):
