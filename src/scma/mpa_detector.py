@@ -8,7 +8,6 @@ variant and a real/imaginary split variant share its machinery.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -39,9 +38,10 @@ MAX_JOINT_HYPOTHESES = 1 << 20
 # entry of at least 2**-511 is a normal float: subnormal products would cost
 # a microcode assist each in the contractions over the tables.
 EXP_FLUSH_ARG = -354.0
-# table entries per trial in one row block: 512 KB of float64 at 128 trials,
-# so a block is still in L2 when the next pass over it runs
-ROW_BLOCK_ENTRIES = 512
+# table entries of one trial slice, over all its resources: 4 MB of float64,
+# so with four resources a table and its scratch (1 MB each) stay within a
+# 2 MB L2, and a 128-trial lowproj call (2916 entries per trial) is one slice
+MAX_SLICE_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -109,17 +109,6 @@ def _damped(new: np.ndarray, old: np.ndarray, damping: float) -> np.ndarray:
     return (1.0 - damping) * new + damping * old if damping else new
 
 
-@functools.cache
-def _row_blocks(rows: int, cols: int) -> tuple[slice, ...]:
-    """Slices of at most ROW_BLOCK_ENTRIES // cols rows (at least one) that
-    cover the rows of a (rows, cols, T) table in order. They depend on the
-    table's shape only, never on T, so a trial's sums add in the same order
-    at any call size; a table of at most ROW_BLOCK_ENTRIES entries per trial
-    is one block."""
-    step = max(1, ROW_BLOCK_ENTRIES // cols)
-    return tuple(slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
-
-
 def _distinct(values: np.ndarray):
     """(distinct values in order of first appearance, each entry's index
     into them) of a 1-D array, as merge_values lists them, or (values, None)
@@ -138,13 +127,8 @@ def _resource_tables(y, edge_values, res_edges, noise_var):
     into a complex residual y_k - s; the energy against the last is real
     arithmetic. A table is a C-ordered (rows, columns, T) array: rows over
     the value combinations of every edge but the last, columns over the
-    last edge's values.
-
-    A table is built in row blocks, in two passes: the first forms each
-    block's energy and keeps a running per-trial minimum, the second shifts,
-    scales and flushes each block. The imaginary part and then the flush
-    mask of a block live in one scratch buffer per call, the size of the
-    largest block.
+    last edge's values. The imaginary part and then the flush mask live in
+    one scratch buffer per call, the size of the largest table.
     """
     t_count = y.shape[-1]
     scratch = np.empty(0)
@@ -157,24 +141,15 @@ def _resource_tables(y, edge_values, res_edges, noise_var):
         for e in es[:-1]:
             r = (r[:, None] - edge_values[e]).reshape(-1, t_count)
         last = edge_values[es[-1]]
-        table = np.empty((len(r), len(last), t_count))
-        blocks = _row_blocks(*table.shape[:2])
-        if scratch.size < table[blocks[0]].size:  # the first block is the largest
-            scratch = np.empty(table[blocks[0]].size)
-        low = None
-        for b in blocks:
-            re = np.subtract(r.real[b, None], last.real, out=table[b])
-            im = scratch[: re.size].reshape(re.shape)
-            np.subtract(r.imag[b, None], last.imag, out=im)
-            energy = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
-            least = energy.min(axis=(0, 1))
-            low = least if low is None else np.minimum(low, least, out=low)
-        for b in blocks:
-            energy = table[b]
-            energy -= low
-            energy /= -noise_var
-            _exp_flushed(energy, scratch[: energy.size].reshape(energy.shape))
-        tables.append(table)
+        table = np.subtract(r.real[:, None], last.real)
+        if scratch.size < table.size:
+            scratch = np.empty(table.size)
+        im = scratch[: table.size].reshape(table.shape)
+        np.subtract(r.imag[:, None], last.imag, out=im)
+        np.add(np.square(table, out=table), np.square(im, out=im), out=table)
+        table -= table.min(axis=(0, 1))
+        table /= -noise_var
+        tables.append(_exp_flushed(table, im))
     return tables
 
 
@@ -185,9 +160,7 @@ def _leave_one_out(table, msgs):
 
     Two contractions per level: the outer product of all but the last
     message against the table gives the last axis's output, and the table
-    against the last message drops that axis for the next level. Both run
-    in one loop over the table's row blocks, so the second reads a block
-    from cache.
+    against the last message drops that axis for the next level.
     """
     t_count = table.shape[-1]
     if len(msgs) == 1:
@@ -195,19 +168,9 @@ def _leave_one_out(table, msgs):
     w = msgs[0]
     for m in msgs[1:-1]:
         w = (w[:, None] * m).reshape(-1, t_count)
-    rows, cols = len(w), len(msgs[-1])
-    g = table.reshape(rows, cols, t_count)
-    if rows * cols <= ROW_BLOCK_ENTRIES:  # one block: skip the block loop
-        last = np.einsum("pat,pt->at", g, w)
-        rest = np.einsum("pat,at->pt", g, msgs[-1])
-    else:
-        last, parts = None, []
-        for b in _row_blocks(rows, cols):
-            block = g[b]
-            part = np.einsum("pat,pt->at", block, w[b])
-            last = part if last is None else np.add(last, part, out=last)
-            parts.append(np.einsum("pat,at->pt", block, msgs[-1]))
-        rest = np.concatenate(parts)
+    g = table.reshape(len(w), len(msgs[-1]), t_count)
+    last = np.einsum("pat,pt->at", g, w)
+    rest = np.einsum("pat,at->pt", g, msgs[-1])
     return _leave_one_out(rest, msgs[:-1]) + [last]
 
 
@@ -263,17 +226,20 @@ def _run_mpa(
 # public batched engines (leading trial axis)
 
 
-def _trial_slices(body, y, gains, system, step: int | None = None) -> np.ndarray:
+def _trial_slices(body, y, gains, system, step: int) -> np.ndarray:
     """(T, J, M) marginals of an engine whose body(y, gains) maps the (K, T)
     received values and (T, J, K) gains of a slice of at most `step` trials
-    (all of them by default) to their (J, M, T) marginals. y (one trial may
-    be 1-D) and gains must match the system's shape and be finite.
+    to their (J, M, T) marginals; `step` comes from _check_table_entries, so
+    a slice's tables hold at most MAX_SLICE_ENTRIES entries, or one trial's.
+    y (one trial may be 1-D) and gains must match the system's shape and be
+    finite.
 
     numpy runs a body's sums with the trial axis innermost, so a trial's
     terms add in axis order and get the same bits at any call size; a lone
     trial would leave a summed axis innermost, so a one-trial slice runs as
-    two copies of it, unless every slice holds one trial. The result is
-    C-ordered, so that a caller's sums over M run along M at any call size.
+    two copies of it, unless every slice holds one trial (two would then
+    exceed the cap). The result is C-ordered, so that a caller's sums over
+    M run along M at any call size.
     """
     y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
     gains = np.asarray(gains, dtype=np.complex128)
@@ -288,7 +254,6 @@ def _trial_slices(body, y, gains, system, step: int | None = None) -> np.ndarray
         )
     if not (np.isfinite(y).all() and np.isfinite(gains).all()):
         raise ValueError("y and gains must be finite")
-    step = step or len(y) + 1
     parts = []
     for lo in range(0, len(y), step):
         y_s, g_s = y[lo : lo + step], gains[lo : lo + step]
@@ -321,7 +286,7 @@ def batch_mpa(
     # per edge, its values and each symbol's value (None: one per symbol)
     columns = [_distinct(system.codebooks[j].codewords[:, k]) if tables is None
                else tables[(k, j)] for k, j in edges]
-    _check_table_entries(math.prod(len(columns[e][0]) for e in es) for es in res_edges)
+    step = _check_table_entries(math.prod(len(columns[e][0]) for e in es) for es in res_edges)
     edge_index = [idx for _, idx in columns]
 
     def body(y, gains):
@@ -333,7 +298,7 @@ def batch_mpa(
             system.alphabet_size, noise_var, max_iter, damping,
         )
 
-    return _trial_slices(body, y, gains, system)
+    return _trial_slices(body, y, gains, system, step)
 
 
 def batch_map(
@@ -345,17 +310,13 @@ def batch_map(
     is built over their axes alone and the K terms broadcast into one
     (M, ..., M, T) table. Trials go last, so the sums over layer axes add
     contiguous rows, and are sliced to keep the table within
-    MAX_JOINT_HYPOTHESES entries. The table is summed twice, over the second
-    and over the first half of the layer axes; each layer's marginal is read
-    off the small sum that keeps its axis.
+    MAX_SLICE_ENTRIES entries, or one trial's. The table is summed twice,
+    over the second and over the first half of the layer axes; each layer's
+    marginal is read off the small sum that keeps its axis.
     """
     _check_detect_args(noise_var, 1, 0.0)
     m, j_count = system.alphabet_size, system.n_layers
-    total = m**j_count
-    if total > MAX_JOINT_HYPOTHESES:
-        raise ValueError(
-            f"M**J = {total} exceeds the enumeration cap {MAX_JOINT_HYPOTHESES}"
-        )
+    step = _check_table_entries([m**j_count])
     layer_axes = tuple(range(j_count))
     half = j_count // 2
     # (axes summed out of the table, layers whose axes the sum keeps)
@@ -393,7 +354,7 @@ def batch_map(
                 marginals[j] = part.sum(axis=others)
         return marginals
 
-    marginals = _trial_slices(body, y, gains, system, max(1, MAX_JOINT_HYPOTHESES // total))
+    marginals = _trial_slices(body, y, gains, system, step)
     return marginals / marginals.sum(axis=2, keepdims=True)
 
 
@@ -417,7 +378,7 @@ def batch_split(
         raise ValueError("split detection needs a separable mother and +-1 phases")
     edges, res_edges, lay_edges = _edges(system)
     m_u, m_v = len(mother.real_points), len(mother.imag_points)
-    _check_table_entries(m_u ** len(es) + m_v ** len(es) for es in res_edges)
+    step = _check_table_entries(m_u ** len(es) + m_v ** len(es) for es in res_edges)
 
     def half(points: np.ndarray, y_part: np.ndarray, gains: np.ndarray) -> np.ndarray:
         vals, index = [], []
@@ -440,7 +401,7 @@ def batch_split(
         combined = marg_re[:, :, None] * marg_im[:, None]
         return _normalise(combined.reshape(system.n_layers, -1, y.shape[1]))
 
-    return _trial_slices(body, y, gains, system)
+    return _trial_slices(body, y, gains, system, step)
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +417,18 @@ def _check_detect_args(noise_var: float, max_iter: int, damping: float) -> None:
         raise ValueError("damping must lie in [0, 1)")
 
 
-def _check_table_entries(counts) -> None:
+def _check_table_entries(counts) -> int:
     """Reject a system whose likelihood tables hold more than
-    MAX_JOINT_HYPOTHESES entries for one trial, before any is built."""
+    MAX_JOINT_HYPOTHESES entries for one trial, before any is built; return
+    the trials per slice that keep a slice's tables within MAX_SLICE_ENTRIES
+    (at least one)."""
     total = sum(counts)
     if total > MAX_JOINT_HYPOTHESES:
         raise ValueError(
             f"one trial's likelihood tables hold {total} entries, "
             f"over the cap {MAX_JOINT_HYPOTHESES}"
         )
+    return max(1, MAX_SLICE_ENTRIES // total)
 
 
 def _label_bits(labels: np.ndarray, n_bits: int) -> np.ndarray:

@@ -97,6 +97,8 @@ class SimConfig:
             raise ValueError("snr grid must be nonempty")
         if not all(math.isfinite(v) for v in self.snr_grid_db):
             raise ValueError("snr grid values must be finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if min(self.K, self.N, self.J, self.M) < 1:
             raise ValueError("K, N, J and M must be positive")
         # each point's noise variance, checked by NoiseModel before any point runs
@@ -198,11 +200,13 @@ def _run_block(system, config, noise_var, point_index, blocks, consts):
 
 
 def _entries_per_trial(system: ScmaSystem, engine: str) -> int:
-    """Likelihood-table entries the engine builds for one trial."""
+    """Likelihood-table entries the engine builds for one trial; plain `mpa`
+    builds over each edge's distinct values, which on every shipped design
+    are the collapsed projections."""
     if engine == "map_oracle":
         return system.alphabet_size**system.n_layers
     r = complexity_report(system)
-    return sum({"mpa": r.plain, "mpa_collapsed": r.collapsed, "split": r.split}[engine])
+    return sum(r.split if engine == "split" else r.collapsed)
 
 
 def run_point(

@@ -134,6 +134,24 @@ def test_snr_without_a_noise_variance_fails_before_any_point(tmp_path, capsys, m
     assert not Path("x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_negative_seed_fails_before_any_point(tmp_path, capsys, monkeypatch, command):
+    import scma.simulator
+
+    calls = []
+    monkeypatch.setattr(scma.simulator, "run_point", lambda *a, **kw: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    main(["design", "--scheme", "4pt", "--out", "4pt.json"])
+    capsys.readouterr()
+    args = (["simulate", "--system", "4pt.json"] if command == "simulate"
+            else ["compare", "--experiment", "power_variation"])
+    assert main(args + ["--seed", "-3", "--snr", "8", "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: seed must be non-negative, got -3"]
+    assert calls == []
+    assert not Path("x.csv").exists()
+
+
 def test_analyze_missing_key_is_clean(tmp_path, capsys):
     sysfile = tmp_path / "sys.json"
     main(["design", "--scheme", "4pt", "--out", str(sysfile)])

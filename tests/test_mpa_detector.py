@@ -398,11 +398,11 @@ def test_run_mpa_never_sees_a_lone_trial(monkeypatch):
     "symbols,values",
     [
         ((16,), (9,)),  # one edge
-        ((16, 16), (9, 16)),  # one block
-        ((32, 32), (5, 32)),  # row blocks, repeats on the rows only
-        ((32, 32), (32, 7)),  # row blocks, repeats on the last edge only
-        ((4, 4, 4), (3, 4, 2)),  # one block at every level
-        ((16, 16, 16), (9, 9, 9)),  # lowproj: row blocks at the top level
+        ((16, 16), (9, 16)),  # repeats on the rows only
+        ((32, 32), (5, 32)),  # repeats on the rows only, wider table
+        ((32, 32), (32, 7)),  # repeats on the last edge only
+        ((4, 4, 4), (3, 4, 2)),  # three levels
+        ((16, 16, 16), (9, 9, 9)),  # lowproj: repeats on every edge
         ((16, 16, 16), (16, 9, 16)),  # repeats on a middle edge only
     ],
 )
@@ -545,17 +545,36 @@ def test_exp_flushed_is_exp_or_exact_zero():
 
 
 @pytest.mark.parametrize(
-    "rows,cols,want",
+    "scheme,n_layers,engine,trials,step",
     [
-        (16, 4, [(0, 16)]),  # 4pt: the whole table is one block
-        (256, 16, [(lo, lo + 32) for lo in range(0, 256, 32)]),  # lowproj plain
-        (81, 9, [(0, 56), (56, 81)]),  # lowproj collapsed
-        (3, 4096, [(0, 1), (1, 2), (2, 3)]),  # a row wider than a block
+        ("lowproj", 6, batch_mpa, 1000, 179),  # 4 * 9**3 entries per trial
+        ("t16", 6, batch_mpa, 128, 32),  # 4 * 16**3
+        ("t16", 4, batch_map, 20, 8),  # 16**4
     ],
 )
-def test_row_blocks_cover_the_rows_in_order(rows, cols, want):
-    got = mpa_detector._row_blocks(rows, cols)
-    assert [(b.start, b.stop) for b in got] == want
+def test_trial_slices_stay_within_the_entry_cap(monkeypatch, scheme, n_layers, engine,
+                                                trials, step):
+    # every engine body sees at most MAX_SLICE_ENTRIES table entries, and a
+    # trial gets the same bits in any call that holds it
+    system = build_named_system(scheme, 4, 2, n_layers, 16)
+    report = complexity_report(system)
+    entries = 16**n_layers if engine is batch_map else sum(report.collapsed)
+    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(trials), "uplink_rayleigh",
+                                trials)
+    sizes = []
+    slices = mpa_detector._trial_slices
+
+    def recording(body, *args):
+        return slices(lambda y_s, g_s: sizes.append(y_s.shape[1]) or body(y_s, g_s), *args)
+
+    monkeypatch.setattr(mpa_detector, "_trial_slices", recording)
+    whole = engine(y, gains, system, nv)
+    assert max(sizes) == step and sum(sizes) == trials
+    assert step * entries <= mpa_detector.MAX_SLICE_ENTRIES < (step + 1) * entries
+    cuts = [1, 18] + list(range(128, trials, 128))
+    parts = [engine(y_c, g_c, system, nv) for y_c, g_c in zip(np.split(y, cuts),
+                                                              np.split(gains, cuts))]
+    assert np.array_equal(whole, np.concatenate(parts))
 
 
 def map_case(scheme, n_layers, m, mode, size, snr_db=8.0):
@@ -571,7 +590,7 @@ MAP_SYSTEMS = [
     map_case("4pt", 6, 4, "awgn", 32),
     map_case("4pt", 6, 4, "uplink_rayleigh", 32),
     map_case("t16", 2, 16, "uplink_rayleigh", 32),
-    # 65536 hypotheses: 16 trials per slice, so 64 trials take four slices
+    # 65536 hypotheses: 8 trials per slice, so 64 trials take eight slices
     map_case("t16", 4, 16, "uplink_rayleigh", 64),
     # odd J: the marginal sums keep one layer axis and then two
     map_case("4pt", 3, 4, "uplink_rayleigh", 32),

@@ -72,6 +72,8 @@ def test_config_validation():
     for field in ("K", "N", "J", "M"):
         with pytest.raises(ValueError, match="must be positive"):
             SimConfig(**{**ok, field: 0})
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SimConfig(**{**ok, "seed": -1})
     # finite SNRs whose noise variance overflows or underflows to 0
     for bad in (-3100.0, 4000.0):
         for convention in ("per_layer", "total"):
@@ -300,7 +302,7 @@ def test_windows_do_not_change_points(monkeypatch, case, workers):
 
 
 # 16-symbol messages, collapsed edges summing several symbols each, and
-# batch_map slices of 16 trials
+# batch_map slices of 8 trials
 EXTRA_CASES = [
     dict(design="lowproj", M=16, engine="mpa"),
     dict(design="lowproj", M=16, engine="mpa_collapsed"),
@@ -340,7 +342,7 @@ CAPPED_CASES = [
     # design, M, engine, table entries per trial, most trials per call
     ("4pt", 4, "mpa", 4 * 4**3, 512),
     # one block already exceeds the cap on these kernel-bound engines
-    ("lowproj", 16, "mpa", 4 * 16**3, 128),
+    ("lowproj", 16, "mpa", 4 * 9**3, 128),
     ("lowproj", 16, "mpa_collapsed", 4 * 9**3, 128),
     ("4pt", 4, "map_oracle", 4**6, 128),
 ]
