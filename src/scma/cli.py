@@ -23,6 +23,10 @@ from .system_io import load_system, save_system
 
 CHANNEL_FLAGS = {"awgn": "awgn", "downlink": "downlink", "uplink": "uplink_rayleigh"}
 ENGINE_FLAGS = {"mpa": "mpa", "mpa_collapsed": "mpa_collapsed", "split": "split", "map": "map_oracle"}
+# every shipped experiment runs at most 4 points and each point at least one
+# detector call, so a longer a:b:step grid is a mistyped step; without a cap
+# a step below the spacing of floats at a never moves the grid past b
+MAX_SNR_POINTS = 1000
 
 
 def parse_snr_grid(text: str) -> tuple[float, ...]:
@@ -39,6 +43,8 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
         grid = []
         v = a
         while v <= b + 1e-9:
+            if len(grid) == MAX_SNR_POINTS:
+                raise argparse.ArgumentTypeError(f"a:b:step gives over {MAX_SNR_POINTS} points")
             grid.append(round(v, 10))
             v += step
         if not grid:
@@ -94,10 +100,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before a sweep, not after it, when the directory of `path` is missing."""
+    """Fail before a sweep, not after it, when the directory of `path` is
+    missing or `path` itself is a directory."""
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _cmd_design(args) -> int:

@@ -262,20 +262,23 @@ def merge_values(values: np.ndarray, tol: float = PROJECTION_MERGE_TOL):
     """Cluster scalars closer than tol; returns (representatives, index_map).
 
     representatives[index_map[i]] reproduces values[i] up to tol. The
-    representative of a cluster is its first member in input order.
+    representative of a cluster is its first member in input order. At
+    tol 0 only equal values merge.
     """
     vals = np.asarray(values).ravel()
-    reps: list[complex] = []
-    index = np.empty(len(vals), dtype=np.int64)
-    for i, v in enumerate(vals):
-        for r, rep in enumerate(reps):
-            if abs(v - rep) <= tol:
-                index[i] = r
-                break
-        else:
-            index[i] = len(reps)
-            reps.append(v)
-    return np.array(reps), index
+    # each representative's position. A value equal to a representative
+    # joins it, as no earlier one lies within tol of it; at tol 0 no other
+    # value joins one
+    reps: dict[complex, int] = {}
+    index = []
+    for v in vals.tolist():
+        r = reps.get(v)
+        if r is None and tol > 0:
+            r = next((i for i, rep in enumerate(reps) if abs(v - rep) <= tol), None)
+        if r is None:
+            r = reps[v] = len(reps)
+        index.append(r)
+    return np.array(list(reps), dtype=vals.dtype), np.array(index, dtype=np.int64)
 
 
 def projections_per_dim(mother: MotherConstellation) -> tuple[int, ...]:

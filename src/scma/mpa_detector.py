@@ -109,17 +109,6 @@ def _damped(new: np.ndarray, old: np.ndarray, damping: float) -> np.ndarray:
     return (1.0 - damping) * new + damping * old if damping else new
 
 
-def _distinct(values: np.ndarray):
-    """(distinct values in order of first appearance, each entry's index
-    into them) of a 1-D array, as merge_values lists them, or (values, None)
-    when no entry repeats exactly."""
-    first = {}
-    index = np.array([first.setdefault(v, len(first)) for v in values.tolist()])
-    if len(first) == len(values):
-        return values, None
-    return np.array(list(first), dtype=values.dtype), index
-
-
 def _resource_tables(y, edge_values, res_edges, noise_var):
     """Per resource, exp(-(|y_k - s|^2 - min_s |y_k - s|^2) / noise_var) over
     every sum s of its edges' values, or None without edges; entries whose
@@ -174,30 +163,26 @@ def _leave_one_out(table, msgs):
     return _leave_one_out(rest, msgs[:-1]) + [last]
 
 
-def _run_mpa(
-    y: np.ndarray,
-    edge_values: list[np.ndarray],
-    edge_index: list[np.ndarray | None],
-    res_edges,
-    lay_edges,
-    alphabet: int,
-    noise_var: float,
-    max_iter: int,
-    damping: float,
-):
-    """Flooding sum-product over precomputed per-edge value tables; returns
-    the (J, alphabet, T) marginals.
+def _run_mpa(y, gains, edges, columns, res_edges, lay_edges, alphabet, noise_var, max_iter,
+             damping):
+    """Flooding sum-product over each edge's values; returns the (J,
+    alphabet, T) marginals.
 
-    y is (K, T), real or complex; edge_values[e] is (A_e, T) with the
-    channel already folded in. When edge_index[e] is not None, edge e's
-    A_e values are shared by several symbols and edge_index[e] maps each
-    symbol to its value: the tables are built and contracted over the
-    values, a message is summed onto them on its way into a resource, and
-    the value's output is copied back to its symbols. Messages are
-    (E, alphabet, T); lay_edges holds each layer's N edges.
+    y is (K, T) and gains (T, J, K), both real or complex; columns[e] is
+    the (values, index) pair of edge e = (k, j): its A_e values and each
+    symbol's value. This is the one place the channel is folded in: edge
+    e's (A_e, T) table is gains[:, j, k] * values. An index that maps each
+    symbol to its own value, in order, counts as none. Otherwise the tables
+    are built and contracted over the values, a message is summed onto them
+    on its way into a resource, and the value's output is copied back to
+    its symbols. Messages are (E, alphabet, T); lay_edges holds each
+    layer's N edges.
     """
     t_count = y.shape[-1]
-    l2r = r2l = np.full((len(edge_values), alphabet, t_count), 1.0 / alphabet)
+    l2r = r2l = np.full((len(edges), alphabet, t_count), 1.0 / alphabet)
+    edge_values = [gains[:, j, k] * vals[:, None] for (k, j), (vals, _) in zip(edges, columns)]
+    edge_index = [None if idx.tolist() == list(range(len(vals))) else idx
+                  for vals, idx in columns]
     # per edge with an index, the (A_e, alphabet) indicator of each symbol's value
     onto = [None if idx is None else np.eye(len(vals))[:, idx]
             for vals, idx in zip(edge_values, edge_index)]
@@ -277,28 +262,22 @@ def batch_mpa(
 
     Runs exactly max_iter flooding iterations (resource updates, then layer
     updates). Each edge's likelihoods are built over its distinct values:
-    the exactly equal codeword values of its symbols, or with `tables` the
-    projections merged within PROJECTION_MERGE_TOL (see
-    collapse_projections), which changes nothing but cost.
+    its symbols' codeword values with exact repeats merged (merge_values at
+    tolerance 0), or with `tables` the projections merged within
+    PROJECTION_MERGE_TOL (see collapse_projections), which changes nothing
+    but cost.
     """
     _check_detect_args(noise_var, max_iter, damping)
     edges, res_edges, lay_edges = _edges(system)
-    # per edge, its values and each symbol's value (None: one per symbol)
-    columns = [_distinct(system.codebooks[j].codewords[:, k]) if tables is None
+    # per edge, its values and each symbol's value
+    columns = [merge_values(system.codebooks[j].codewords[:, k], 0.0) if tables is None
                else tables[(k, j)] for k, j in edges]
     step = _check_table_entries(math.prod(len(columns[e][0]) for e in es) for es in res_edges)
-    edge_index = [idx for _, idx in columns]
-
-    def body(y, gains):
-        # (A_e, T) value table of every edge with the channel folded in
-        edge_values = [gains[:, j, k] * vals[:, None]
-                       for (k, j), (vals, _) in zip(edges, columns)]
-        return _run_mpa(
-            y, edge_values, edge_index, res_edges, lay_edges,
-            system.alphabet_size, noise_var, max_iter, damping,
-        )
-
-    return _trial_slices(body, y, gains, system, step)
+    return _trial_slices(
+        lambda y, gains: _run_mpa(y, gains, edges, columns, res_edges, lay_edges,
+                                  system.alphabet_size, noise_var, max_iter, damping),
+        y, gains, system, step,
+    )
 
 
 def batch_map(
@@ -370,34 +349,39 @@ def batch_split(
     Valid only when the mother factors into real and imaginary parts, all
     operator phases are +-1 and the channel gains are real: the Gaussian
     metric then splits into independent real and imaginary halves, each a
-    real Gaussian of variance noise_var / 2.
+    real Gaussian of variance noise_var / 2. Each half's (values, index)
+    columns are built once per call, with exact repeats merged as in
+    batch_mpa, and a slice's trials are capped by the table entries both
+    halves build from them.
     """
     _check_detect_args(noise_var, max_iter, 0.0)
     mother = system.mother
     if not system.is_separable:
         raise ValueError("split detection needs a separable mother and +-1 phases")
     edges, res_edges, lay_edges = _edges(system)
-    m_u, m_v = len(mother.real_points), len(mother.imag_points)
-    step = _check_table_entries(m_u ** len(es) + m_v ** len(es) for es in res_edges)
-
-    def half(points: np.ndarray, y_part: np.ndarray, gains: np.ndarray) -> np.ndarray:
-        vals, index = [], []
+    # per half, each edge's (values, index): the operator's sign times the
+    # half's mother values on the edge's dimension
+    halves = []
+    for points in (mother.real_points, mother.imag_points):
+        columns = []
         for k, j in edges:
             local = system.codebooks[j].support.index(k)
             sign = system.operators[j].phases[local].real
-            col, idx = _distinct(sign * points[:, local])
-            vals.append(gains[:, j, k].real * col[:, None])
-            index.append(idx)
-        return _run_mpa(
-            y_part, vals, index, res_edges, lay_edges,
-            len(points), noise_var, max_iter, 0.0,
-        )
+            columns.append(merge_values(sign * points[:, local], 0.0))
+        halves.append((len(points), columns))
+    step = _check_table_entries(
+        sum(math.prod(len(columns[e][0]) for e in es) for _, columns in halves)
+        for es in res_edges
+    )
 
     def body(y, gains):
         if np.abs(gains.imag).max() > 1e-12:
             raise ValueError("split detection needs real channel gains")
-        marg_re = half(mother.real_points, y.real, gains)
-        marg_im = half(mother.imag_points, y.imag, gains)
+        marg_re, marg_im = (
+            _run_mpa(part, gains.real, edges, columns, res_edges, lay_edges,
+                     alphabet, noise_var, max_iter, 0.0)
+            for part, (alphabet, columns) in zip((y.real, y.imag), halves)
+        )
         combined = marg_re[:, :, None] * marg_im[:, None]
         return _normalise(combined.reshape(system.n_layers, -1, y.shape[1]))
 
@@ -506,7 +490,7 @@ def has_rounded_repeats(system: ScmaSystem, split: bool = False) -> bool:
         columns = [p[:, n] for p in parts for n in range(p.shape[1])]
     else:
         return False  # split detection does not apply
-    return any(len(merge_values(c)[0]) < len(_distinct(c)[0]) for c in columns)
+    return any(len(merge_values(c)[0]) < len(merge_values(c, 0.0)[0]) for c in columns)
 
 
 def complexity_report(system: ScmaSystem) -> ComplexityReport:

@@ -33,6 +33,30 @@ def test_parse_snr_grid_rejects_garbage():
             parse_snr_grid(text)
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("snr", ["4:8:1e-300", "4:8:1e-7", "1e20:1e20:1"])
+def test_snr_range_over_the_point_bound_fails_at_once(tmp_path, capsys, command, snr):
+    # 4.0 + 1e-300 == 4.0 and 1e20 + 1 == 1e20, so without the bound these
+    # ranges never end, and 4:8:1e-7 would hold 4e7 points
+    start = time.perf_counter()
+    args = (["simulate", "--system", str(tmp_path / "sys.json")] if command == "simulate"
+            else ["compare", "--experiment", "power_variation"])
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--snr", snr, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(err) == 1 and err[0].endswith("a:b:step gives over 1000 points")
+
+
+def test_parse_snr_grid_point_bound():
+    import argparse
+
+    assert parse_snr_grid("1:1000:1") == tuple(float(v) for v in range(1, 1001))
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_snr_grid("0:1000:1")
+
+
 def test_design_writes_valid_json(tmp_path):
     out = tmp_path / "sys.json"
     assert main(["design", "--k", "4", "--n", "2", "--j", "6", "--m", "4",
@@ -150,6 +174,24 @@ def test_negative_seed_fails_before_any_point(tmp_path, capsys, monkeypatch, com
     assert err == ["error: seed must be non-negative, got -3"]
     assert calls == []
     assert not Path("x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_out_naming_a_directory_fails_before_any_point(tmp_path, capsys, monkeypatch, command):
+    import scma.simulator
+
+    calls = []
+    monkeypatch.setattr(scma.simulator, "run_point", lambda *a, **kw: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    main(["design", "--scheme", "4pt", "--out", "4pt.json"])
+    Path("results").mkdir()
+    capsys.readouterr()
+    args = (["simulate", "--system", "4pt.json"] if command == "simulate"
+            else ["compare", "--experiment", "power_variation"])
+    assert main(args + ["--snr", "8", "--out", "results"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: [Errno 21] Is a directory: 'results'"]
+    assert calls == []
 
 
 def test_analyze_missing_key_is_clean(tmp_path, capsys):

@@ -331,7 +331,7 @@ def test_distinct_value_tables_equal_tables_over_every_symbol(trials):
                                 trials)
     edges, res_edges, _ = mpa_detector._edges(system)
     columns = [system.codebooks[j].codewords[:, k] for k, j in edges]
-    distinct = [mpa_detector._distinct(col) for col in columns]
+    distinct = [merge_values(col, 0.0) for col in columns]
     assert all(len(vals) == 9 for vals, _ in distinct)
     y_t = np.ascontiguousarray(y.T)
     full = mpa_detector._resource_tables(
@@ -445,7 +445,8 @@ def test_distinct_value_views_keep_the_marginals(monkeypatch, damping, trials):
     gains_s = gains_s * np.abs(rng.standard_normal((trials, 6, 1)))
     got = batch_mpa(y, gains, system, nv, 6, damping)
     got_split = batch_split(y_s, gains_s, split, nv_s, 5)
-    monkeypatch.setattr(mpa_detector, "_distinct", lambda values: (values, None))
+    monkeypatch.setattr(mpa_detector, "merge_values",
+                        lambda values, tol=None: (values, np.arange(len(values))))
     assert np.abs(got - batch_mpa(y, gains, system, nv, 6, damping)).max() <= 1e-12
     assert np.abs(got_split - batch_split(y_s, gains_s, split, nv_s, 5)).max() <= 1e-12
 
@@ -454,13 +455,13 @@ def test_distinct_value_split_tables_keep_the_marginals(monkeypatch):
     # the identity-phase lowproj system is separable, and each real part
     # shows 3 distinct values on each dimension
     system = identity_phase_system(6, low_projection_16point())
-    assert all(len(mpa_detector._distinct(col)[0]) == 3
-               for col in system.mother.real_points.T)
+    assert all(len(merge_values(col, 0.0)[0]) == 3 for col in system.mother.real_points.T)
     rng = np.random.default_rng(17)
     y, gains, nv = random_batch(system, 12.0, rng, "awgn", 17)
     gains = gains * np.abs(rng.standard_normal((17, 6, 1)))
     got = batch_split(y, gains, system, nv, 5)
-    monkeypatch.setattr(mpa_detector, "_distinct", lambda values: (values, None))
+    monkeypatch.setattr(mpa_detector, "merge_values",
+                        lambda values, tol=None: (values, np.arange(len(values))))
     assert np.abs(got - batch_split(y, gains, system, nv, 5)).max() <= 1e-12
 
 
@@ -479,15 +480,42 @@ def test_mpa_and_mpa_collapsed_agree_bitwise_on_lowproj(n_layers, damping, trial
     assert np.array_equal(got, batch_mpa(y, gains, system, nv, 4, damping, tables))
 
 
-def test_distinct_lists_values_in_first_appearance_order():
-    # as merge_values does, so exact and merged repeats give the same edges
-    values = np.array([2.0, -1.0, 2.0, 0.5, -1.0])
-    vals, idx = mpa_detector._distinct(values)
-    assert vals.tolist() == [2.0, -1.0, 0.5] and idx.tolist() == [0, 1, 0, 2, 1]
-    want_vals, want_idx = merge_values(values)
-    assert np.array_equal(vals, want_vals) and np.array_equal(idx, want_idx)
-    same = np.array([1j, 2.0, 3.0])
-    assert mpa_detector._distinct(same)[0] is same and mpa_detector._distinct(same)[1] is None
+def test_merge_values_at_tolerance_zero_merges_only_equal_values():
+    # plain mpa and split take an edge's exact repeats from merge_values at
+    # tolerance 0: values one ulp apart stay apart, and merge at the default
+    near = 1.0 + 2.0**-52
+    values = np.array([2.0, 1.0, 2.0, near, 1.0])
+    vals, idx = merge_values(values, 0.0)
+    assert vals.tolist() == [2.0, 1.0, near] and idx.tolist() == [0, 1, 0, 2, 1]
+    vals, idx = merge_values(values)
+    assert vals.tolist() == [2.0, 1.0] and idx.tolist() == [0, 1, 0, 1, 1]
+    column = np.array([1j, 2.0, 3.0])
+    vals, idx = merge_values(column, 0.0)
+    assert vals.dtype == column.dtype and np.array_equal(vals, column)
+    assert idx.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("scheme,n_layers,m", [("4pt", 6, 4), ("t16", 2, 16)])
+def test_collapsed_without_repeats_runs_plain_mpa(monkeypatch, scheme, n_layers, m):
+    # collapse_projections gives each edge of these designs an identity
+    # index, which counts as none: mpa_collapsed then sums no message onto
+    # values through an indicator and copies no output back to symbols
+    einsum, contract = np.einsum, mpa_detector._leave_one_out
+    subscripts, gathers = [], []
+
+    class Output(np.ndarray):
+        def __getitem__(self, key):
+            gathers.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(np, "einsum", lambda sub, *ops: subscripts.append(sub) or einsum(sub, *ops))
+    monkeypatch.setattr(mpa_detector, "_leave_one_out",
+                        lambda *a: [o.view(Output) for o in contract(*a)])
+    system = build_named_system(scheme, 4, 2, n_layers, m)
+    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(m), "uplink_rayleigh", 33)
+    got = batch_mpa(y, gains, system, nv, 4, 0.0, collapse_projections(system))
+    assert "am,mt->at" not in subscripts and gathers == []
+    assert np.array_equal(got, batch_mpa(y, gains, system, nv, 4))
 
 
 def test_plain_lowproj_builds_each_distinct_likelihood_once(monkeypatch):
@@ -550,17 +578,23 @@ def test_exp_flushed_is_exp_or_exact_zero():
         ("lowproj", 6, batch_mpa, 1000, 179),  # 4 * 9**3 entries per trial
         ("t16", 6, batch_mpa, 128, 32),  # 4 * 16**3
         ("t16", 4, batch_map, 20, 8),  # 16**4
+        # 4 * 2 * 3**3: each real half shows 3 values per dimension, not 4
+        ("lowproj_identity", 6, batch_split, 3000, 2427),
     ],
 )
 def test_trial_slices_stay_within_the_entry_cap(monkeypatch, scheme, n_layers, engine,
                                                 trials, step):
     # every engine body sees at most MAX_SLICE_ENTRIES table entries, and a
     # trial gets the same bits in any call that holds it
-    system = build_named_system(scheme, 4, 2, n_layers, 16)
-    report = complexity_report(system)
-    entries = 16**n_layers if engine is batch_map else sum(report.collapsed)
-    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(trials), "uplink_rayleigh",
-                                trials)
+    if engine is batch_split:
+        system = identity_phase_system(n_layers, low_projection_16point())
+        entries, mode = 4 * 2 * 3**3, "awgn"
+    else:
+        system = build_named_system(scheme, 4, 2, n_layers, 16)
+        report = complexity_report(system)
+        entries = 16**n_layers if engine is batch_map else sum(report.collapsed)
+        mode = "uplink_rayleigh"
+    y, gains, nv = random_batch(system, 12.0, np.random.default_rng(trials), mode, trials)
     sizes = []
     slices = mpa_detector._trial_slices
 
