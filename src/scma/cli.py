@@ -100,11 +100,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before a sweep, not after it, when the directory of `path` is
-    missing or `path` itself is a directory."""
+    """Fail before a sweep, not after it, when `path` is empty, its
+    directory is missing or `path` itself is a directory."""
     parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
+    if not (path and os.path.isdir(parent)):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path and parent)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 

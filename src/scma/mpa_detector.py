@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel_model import ChannelRealization
 from .codebook import ScmaSystem
-from .constellation import merge_values
+from .constellation import PROJECTION_MERGE_TOL, merge_values
 
 __all__ = [
     "DetectionResult",
@@ -56,9 +56,9 @@ class DetectionResult:
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    """Per-resource hypothesis counts of the detector variants; `plain`
-    counts symbol combinations, which `mpa` enumerates only on a design
-    without exact repeats (see batch_mpa)."""
+    """Per-resource hypothesis counts: `plain` counts symbol combinations,
+    which `mpa` enumerates only without exact repeats (see batch_mpa);
+    `collapsed` and `split` count the table entries those engines build."""
 
     degrees: tuple[int, ...]
     plain: tuple[int, ...]
@@ -82,6 +82,25 @@ def _edges(system: ScmaSystem):
             res_edges[k].append(e)
             lay_edges[j].append(e)
     return edges, res_edges, np.array(lay_edges)
+
+
+def _passes(system: ScmaSystem, edges, tol: float = 0.0, split: bool = False):
+    """Per MPA pass, each edge's (values, index) column from merge_values at
+    `tol`. Plain MPA has one pass, over layer j's codeword values on
+    resource k; split has two, over the real and then the imaginary half:
+    the operator's sign times the half's mother values on the edge's
+    dimension."""
+    if not split:
+        return [[merge_values(system.codebooks[j].codewords[:, k], tol) for k, j in edges]]
+    at = [(j, system.codebooks[j].support.index(k)) for k, j in edges]  # layer, dimension
+    return [[merge_values(system.operators[j].phases[n].real * points[:, n], tol) for j, n in at]
+            for points in (system.mother.real_points, system.mother.imag_points)]
+
+
+def _entries(passes, res_edges) -> tuple[int, ...]:
+    """Per resource, the table entries of one trial summed over the passes."""
+    return tuple(sum(math.prod(len(columns[e][0]) for e in es) for columns in passes)
+                 for es in res_edges)
 
 
 def _normalise(msg: np.ndarray) -> np.ndarray:
@@ -269,12 +288,10 @@ def batch_mpa(
     """
     _check_detect_args(noise_var, max_iter, damping)
     edges, res_edges, lay_edges = _edges(system)
-    # per edge, its values and each symbol's value
-    columns = [merge_values(system.codebooks[j].codewords[:, k], 0.0) if tables is None
-               else tables[(k, j)] for k, j in edges]
-    step = _check_table_entries(math.prod(len(columns[e][0]) for e in es) for es in res_edges)
+    passes = _passes(system, edges) if tables is None else [[tables[e] for e in edges]]
+    step = _check_table_entries(_entries(passes, res_edges))
     return _trial_slices(
-        lambda y, gains: _run_mpa(y, gains, edges, columns, res_edges, lay_edges,
+        lambda y, gains: _run_mpa(y, gains, edges, passes[0], res_edges, lay_edges,
                                   system.alphabet_size, noise_var, max_iter, damping),
         y, gains, system, step,
     )
@@ -352,35 +369,22 @@ def batch_split(
     real Gaussian of variance noise_var / 2. Each half's (values, index)
     columns are built once per call, with exact repeats merged as in
     batch_mpa, and a slice's trials are capped by the table entries both
-    halves build from them.
+    halves build from them, which complexity_report counts as `split`.
     """
     _check_detect_args(noise_var, max_iter, 0.0)
-    mother = system.mother
     if not system.is_separable:
         raise ValueError("split detection needs a separable mother and +-1 phases")
     edges, res_edges, lay_edges = _edges(system)
-    # per half, each edge's (values, index): the operator's sign times the
-    # half's mother values on the edge's dimension
-    halves = []
-    for points in (mother.real_points, mother.imag_points):
-        columns = []
-        for k, j in edges:
-            local = system.codebooks[j].support.index(k)
-            sign = system.operators[j].phases[local].real
-            columns.append(merge_values(sign * points[:, local], 0.0))
-        halves.append((len(points), columns))
-    step = _check_table_entries(
-        sum(math.prod(len(columns[e][0]) for e in es) for _, columns in halves)
-        for es in res_edges
-    )
+    passes = _passes(system, edges, split=True)
+    step = _check_table_entries(_entries(passes, res_edges))
 
     def body(y, gains):
         if np.abs(gains.imag).max() > 1e-12:
             raise ValueError("split detection needs real channel gains")
         marg_re, marg_im = (
             _run_mpa(part, gains.real, edges, columns, res_edges, lay_edges,
-                     alphabet, noise_var, max_iter, 0.0)
-            for part, (alphabet, columns) in zip((y.real, y.imag), halves)
+                     len(columns[0][1]), noise_var, max_iter, 0.0)
+            for part, columns in zip((y.real, y.imag), passes)
         )
         combined = marg_re[:, :, None] * marg_im[:, None]
         return _normalise(combined.reshape(system.n_layers, -1, y.shape[1]))
@@ -473,8 +477,8 @@ def collapse_projections(system: ScmaSystem) -> dict:
     maps each symbol to its value. Symbols sharing a projection are
     interchangeable inside that resource update, so their message mass can
     be aggregated."""
-    return {(k, j): merge_values(system.codebooks[j].codewords[:, k])
-            for k in range(system.n_resources) for j in system.graph.layers_at(k)}
+    edges = _edges(system)[0]
+    return dict(zip(edges, _passes(system, edges, PROJECTION_MERGE_TOL)[0]))
 
 
 def has_rounded_repeats(system: ScmaSystem, split: bool = False) -> bool:
@@ -482,33 +486,21 @@ def has_rounded_repeats(system: ScmaSystem, split: bool = False) -> bool:
     by no more than PROJECTION_MERGE_TOL but not exactly: the detector then
     builds a likelihood for each of them where one would do. A lowproj file
     saved before its projections were made exact is such a system."""
-    if not split:
-        columns = [system.codebooks[j].codewords[:, k]
-                   for k in range(system.n_resources) for j in system.graph.layers_at(k)]
-    elif system.is_separable:
-        parts = (system.mother.real_points, system.mother.imag_points)
-        columns = [p[:, n] for p in parts for n in range(p.shape[1])]
-    else:
+    if split and not system.is_separable:
         return False  # split detection does not apply
-    return any(len(merge_values(c)[0]) < len(merge_values(c, 0.0)[0]) for c in columns)
+    edges, res_edges, _ = _edges(system)
+    # a merge only drops values, so unequal counts mean fewer merged ones
+    return (_entries(_passes(system, edges, PROJECTION_MERGE_TOL, split), res_edges)
+            != _entries(_passes(system, edges, 0.0, split), res_edges))
 
 
 def complexity_report(system: ScmaSystem) -> ComplexityReport:
-    """Hypothesis counts per resource for plain, collapsed and split MPA;
-    plain counts symbol combinations (see ComplexityReport)."""
-    tables = collapse_projections(system)
+    """Hypothesis counts per resource for plain, collapsed and split MPA
+    (see ComplexityReport); collapsed merges within PROJECTION_MERGE_TOL."""
+    edges, res_edges, _ = _edges(system)
     degrees = tuple(int(d) for d in system.graph.degrees)
-    m = system.alphabet_size
-    plain = tuple(m**d for d in degrees)
-    collapsed = []
-    for k in range(system.n_resources):
-        count = 1
-        for j in system.graph.layers_at(k):
-            count *= len(tables[(k, j)][0])
-        collapsed.append(count)
-    split = None
-    if system.is_separable:
-        m_u = system.mother.real_points.shape[0]
-        m_v = system.mother.imag_points.shape[0]
-        split = tuple(m_u**d + m_v**d for d in degrees)
-    return ComplexityReport(degrees, plain, tuple(collapsed), split)
+    plain = tuple(system.alphabet_size**d for d in degrees)
+    collapsed = _entries(_passes(system, edges, PROJECTION_MERGE_TOL), res_edges)
+    split = (_entries(_passes(system, edges, split=True), res_edges)
+             if system.is_separable else None)
+    return ComplexityReport(degrees, plain, collapsed, split)

@@ -200,7 +200,8 @@ def _run_block(system, config, noise_var, point_index, blocks, consts):
 
 
 def _entries_per_trial(system: ScmaSystem, engine: str) -> int:
-    """Likelihood-table entries the engine builds for one trial; plain `mpa`
+    """Likelihood-table entries the engine builds for one trial: `split`
+    counts both halves' tables, as batch_split builds them; plain `mpa`
     builds over each edge's distinct values, which on every shipped design
     are the collapsed projections."""
     if engine == "map_oracle":

@@ -75,13 +75,16 @@ def test_design_validates_scheme_alphabet(tmp_path, capsys):
 
 def test_analyze_prints_metrics(tmp_path, capsys):
     out = tmp_path / "sys.json"
-    main(["design", "--scheme", "lowproj", "--m", "16", "--out", str(out)])
-    capsys.readouterr()
-    assert main(["analyze", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "projections_per_dim (9, 9)" in text
-    assert "4096 / 729" in text
-    assert "overloading=1.50" in text
+    # at J=2 the design is separable, and split builds 3 + 3 entries per resource
+    for layers, counts, overloading in (("6", "4096 / 729 / -", "1.50"),
+                                        ("2", "16 / 9 / 6", "0.50")):
+        main(["design", "--scheme", "lowproj", "--m", "16", "--j", layers, "--out", str(out)])
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "projections_per_dim (9, 9)" in text
+        assert counts in text
+        assert f"overloading={overloading}" in text
 
 
 def test_simulate_round_trip_and_determinism(tmp_path):
@@ -188,9 +191,14 @@ def test_out_naming_a_directory_fails_before_any_point(tmp_path, capsys, monkeyp
     capsys.readouterr()
     args = (["simulate", "--system", "4pt.json"] if command == "simulate"
             else ["compare", "--experiment", "power_variation"])
-    assert main(args + ["--snr", "8", "--out", "results"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: [Errno 21] Is a directory: 'results'"]
+    for out, error in (
+        ("results", "[Errno 21] Is a directory: 'results'"),
+        # an empty path would write to '.', so it failed only after the sweep
+        ("", "[Errno 2] No such file or directory: ''"),
+    ):
+        assert main(args + ["--snr", "8", "--out", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {error}"]
     assert calls == []
 
 

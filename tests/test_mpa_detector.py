@@ -868,8 +868,27 @@ def test_complexity_degree_one():
 def test_complexity_split_counts():
     report = complexity_report(identity_phase_system(6))
     assert report.split == (128, 128, 128, 128)  # two sub-detectors of 4^3
+    # split counts the entries it builds: each lowproj half shows 3 values
+    # per dimension, not 4
+    assert complexity_report(build_named_system("lowproj", 4, 2, 2, 16)).split == (6,) * 4
+    lowproj = identity_phase_system(6, low_projection_16point())
+    assert complexity_report(lowproj).split == (54,) * 4  # 27 + 27
     no_split = complexity_report(build_named_system("4pt", 4, 2, 6, 4))
     assert no_split.split is None
+
+
+def test_has_rounded_repeats():
+    # a mother from the plain rotation holds values up to 7.9e-16 apart on
+    # both engines' edges; the exact lowproj mother holds none, and split
+    # does not apply to the 4-point system
+    _, r = optimize_rotation_projections(base_lattice(2, 4), 9)
+    u = rotate(base_lattice(2, 4), r)
+    rounded = identity_phase_system(6, shuffle_construct(u, u))
+    exact = identity_phase_system(6, low_projection_16point())
+    for split in (False, True):
+        assert mpa_detector.has_rounded_repeats(rounded, split)
+        assert not mpa_detector.has_rounded_repeats(exact, split)
+    assert not mpa_detector.has_rounded_repeats(build_named_system("4pt", 4, 2, 6, 4), True)
 
 
 # ---------------------------------------------------------------------------
@@ -973,21 +992,24 @@ def test_batch_split_matches_single_shot():
 
 def test_batch_engines_reject_tables_over_the_cap(monkeypatch):
     # the check counts one trial's entries over every resource table; the
-    # identity-phase T16 system is separable, so split detection runs on it
-    system = identity_phase_system()
-    tables = collapse_projections(system)
-    report = complexity_report(system)
-    y, gains, nv = random_batch(system, 8.0, np.random.default_rng(90), "awgn", 3)
-    for run, counts in (
-        (lambda: batch_mpa(y, gains, system, nv, 2), report.plain),
-        (lambda: batch_mpa(y, gains, system, nv, 2, 0.0, tables), report.collapsed),
-        (lambda: batch_split(y, gains, system, nv, 2), report.split),
-    ):
-        monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", sum(counts))
-        assert run().shape == (3, 6, 16)
-        monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", sum(counts) - 1)
-        with pytest.raises(ValueError, match="likelihood tables hold"):
-            run()
+    # identity-phase T16 and lowproj systems are separable, so split
+    # detection runs on them, and plain mpa builds the exact lowproj
+    # projections, which the collapsed count holds
+    for system, plain in ((identity_phase_system(), "plain"),
+                          (identity_phase_system(6, low_projection_16point()), "collapsed")):
+        tables = collapse_projections(system)
+        report = complexity_report(system)
+        y, gains, nv = random_batch(system, 8.0, np.random.default_rng(90), "awgn", 3)
+        for run, counts in (
+            (lambda: batch_mpa(y, gains, system, nv, 2), getattr(report, plain)),
+            (lambda: batch_mpa(y, gains, system, nv, 2, 0.0, tables), report.collapsed),
+            (lambda: batch_split(y, gains, system, nv, 2), report.split),
+        ):
+            monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", sum(counts))
+            assert run().shape == (3, 6, 16)
+            monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", sum(counts) - 1)
+            with pytest.raises(ValueError, match="likelihood tables hold"):
+                run()
 
 
 @pytest.mark.parametrize("engine", [batch_mpa, batch_map, batch_split])

@@ -338,6 +338,14 @@ def test_detectors_give_same_marginals_on_concatenated_blocks(case):
     assert np.array_equal(whole, np.concatenate([detect(y, g) for y, g in blocks]))
 
 
+def test_split_windows_count_the_entries_split_builds():
+    # each lowproj half shows 3 values per dimension: 3 + 3 per resource
+    from scma.codebook import build_named_system
+
+    system = build_named_system("lowproj", 4, 2, 2, 16)
+    assert simulator._entries_per_trial(system, "split") == 4 * (3 + 3)
+
+
 CAPPED_CASES = [
     # design, M, engine, table entries per trial, most trials per call
     ("4pt", 4, "mpa", 4 * 4**3, 512),
