@@ -1,14 +1,14 @@
-"""One sha256 over the detector marginals of a fixed matrix of cases.
+"""Two sha256 lines over the detector marginals of fixed matrices of cases.
 
 A kernel refactor that claims "same bits" runs this script on the source
-tree before and after the change and compares the two lines:
+tree before and after the change and compares the output:
 
     python scripts/marginal_digest.py src            # this tree
     python scripts/marginal_digest.py /path/to/src   # another checkout
 
 The argument is the directory that holds the `scma` package; it is put
-first on the import path. The matrix is engines x systems x channels x SNR
-x trial counts:
+first on the import path. The first line covers the MPA engines, over
+engines x systems x channels x SNR x trial counts:
 
 * engines: `batch_mpa` at damping 0 and 0.3, `batch_mpa` on collapsed
   projections, and `batch_split` where it applies (separable systems and
@@ -18,9 +18,13 @@ x trial counts:
 * channels: AWGN and uplink Rayleigh; SNR 8 and 20 dB (per layer);
 * trials per call: 1, 2, 17, 129 and 512.
 
-Each case draws its trials from its own seeded generator, and the digest
+The second line covers `batch_map` on every one of those systems whose M**J
+joint hypotheses the oracle enumerates (4pt, LDS M = 4, lowproj J = 4 and
+2), over the same channels, SNRs and trial counts.
+
+Each case draws its trials from its own seeded generator, and a digest
 covers each case's name and its marginals' bytes, in a fixed order.
-Runtime: about 15 seconds on a 2-core machine.
+Runtime: about 20 seconds on a 2-core machine.
 """
 
 import argparse
@@ -84,11 +88,21 @@ def cases(scma):
         yield f"{name}/split", system, det.batch_split, (MAX_ITER,)
 
 
-def digest(scma) -> tuple[str, int]:
-    """(hex sha256 over every case, the number of cases)."""
+def map_cases(scma):
+    """(name, system, batch_map, ()) per system of SYSTEMS within the MAP
+    oracle's hypothesis cap, in a fixed order."""
+    det = scma.mpa_detector
+    for scheme, j, m in SYSTEMS:
+        if m**j <= det.MAX_JOINT_HYPOTHESES:
+            system = scma.codebook.build_named_system(scheme, 4, 2, j, m)
+            yield f"{scheme}-J{j}-M{m}/map", system, det.batch_map, ()
+
+
+def digest(scma, matrix) -> tuple[str, int]:
+    """(hex sha256 over every case of `matrix`, the number of cases)."""
     h = hashlib.sha256()
     count = 0
-    for c, (name, system, engine, args) in enumerate(cases(scma)):
+    for c, (name, system, engine, args) in enumerate(matrix):
         for mode in MODES:
             for snr_db in SNRS_DB:
                 for size in TRIALS:
@@ -114,8 +128,9 @@ def main() -> None:
     import scma.factor_graph
     import scma.mpa_detector
 
-    hexdigest, count = digest(scma)
-    print(f"{hexdigest}  {count} cases")
+    for matrix, label in ((cases(scma), "cases"), (map_cases(scma), "map cases")):
+        hexdigest, count = digest(scma, matrix)
+        print(f"{hexdigest}  {count} {label}")
 
 
 if __name__ == "__main__":

@@ -112,11 +112,11 @@ def _normalise(msg: np.ndarray) -> np.ndarray:
     return np.where(total > 0, msg / np.where(total > 0, total, 1.0), 1.0 / msg.shape[1])
 
 
-def _exp_flushed(a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def _exp_flushed(a: np.ndarray) -> np.ndarray:
     """exp(a) in place, with every entry whose argument is below
     EXP_FLUSH_ARG (-inf included) set to an exact 0; exp itself only ever
-    sees arguments on its fast path. A float `mask` holds the 0/1 keep mask."""
-    keep = np.greater_equal(a, EXP_FLUSH_ARG, out=mask)
+    sees arguments on its fast path."""
+    keep = a >= EXP_FLUSH_ARG
     np.maximum(a, EXP_FLUSH_ARG, out=a)
     np.exp(a, out=a)
     a *= keep
@@ -129,21 +129,20 @@ def _damped(new: np.ndarray, old: np.ndarray, damping: float) -> np.ndarray:
 
 
 def _resource_tables(y, edge_values, res_edges, noise_var):
-    """Per resource, exp(-(|y_k - s|^2 - min_s |y_k - s|^2) / noise_var) over
-    every sum s of its edges' values, or None without edges; entries whose
-    exp argument is below EXP_FLUSH_ARG are 0. The first d - 1 edges fold
-    into a complex residual y_k - s; the energy against the last is real
-    arithmetic. A table is a C-ordered (rows, columns, T) array: rows over
-    the value combinations of every edge but the last, columns over the
-    last edge's values. The imaginary part and then the flush mask live in
-    one scratch buffer per call, the size of the largest table.
+    """Per resource, yield the log table -(|y_k - s|^2 - min_s |y_k - s|^2) /
+    noise_var over every sum s of its edges' values, or None without edges;
+    shifted first, it overflows only at entries far behind the trial's best.
+    The first d - 1 edges fold into a complex residual y_k - s; the energy
+    against the last is real arithmetic. A table is a C-ordered (rows,
+    columns, T) array: rows over the value combinations of every edge but
+    the last, columns over the last edge's values. The imaginary part lives
+    in one scratch buffer; a caller uses each table, in cache, before the next.
     """
     t_count = y.shape[-1]
     scratch = np.empty(0)
-    tables = []
     for k, es in enumerate(res_edges):
         if not es:
-            tables.append(None)
+            yield None
             continue
         r = y[k][None]
         for e in es[:-1]:
@@ -157,8 +156,7 @@ def _resource_tables(y, edge_values, res_edges, noise_var):
         np.add(np.square(table, out=table), np.square(im, out=im), out=table)
         table -= table.min(axis=(0, 1))
         table /= -noise_var
-        tables.append(_exp_flushed(table, im))
-    return tables
+        yield table
 
 
 def _leave_one_out(table, msgs):
@@ -205,7 +203,8 @@ def _run_mpa(y, gains, edges, columns, res_edges, lay_edges, alphabet, noise_var
     # per edge with an index, the (A_e, alphabet) indicator of each symbol's value
     onto = [None if idx is None else np.eye(len(vals))[:, idx]
             for vals, idx in zip(edge_values, edge_index)]
-    tables = _resource_tables(y, edge_values, res_edges, noise_var)
+    tables = [t if t is None else _exp_flushed(t)
+              for t in _resource_tables(y, edge_values, res_edges, noise_var)]
     n = lay_edges.shape[1]  # others[i]: the positions of a layer's edges but its i-th
     others = [[i2 for i2 in range(n) if i2 != i] for i in range(n)]
     out = np.empty_like(r2l)
@@ -302,17 +301,22 @@ def batch_map(
 ) -> np.ndarray:
     """Exact joint-MAP marginals over all M**J hypotheses, in one pass.
 
-    Resource k's log-likelihood term depends only on the layers at k, so it
-    is built over their axes alone and the K terms broadcast into one
-    (M, ..., M, T) table. Trials go last, so the sums over layer axes add
-    contiguous rows, and are sliced to keep the table within
-    MAX_SLICE_ENTRIES entries, or one trial's. The table is summed twice,
-    over the second and over the first half of the layer axes; each layer's
-    marginal is read off the small sum that keeps its axis.
+    Resource k's term is its MPA log table from _resource_tables, over
+    every symbol's value on k's edges and laid on the axes of the layers at
+    k; the K terms broadcast into one (M, ..., M, T) table. Trials go last,
+    so the sums over layer axes add contiguous rows, and are sliced to keep
+    the table within MAX_SLICE_ENTRIES entries, or one trial's. The table is
+    summed twice, over the second and over the first half of the layer
+    axes; each layer's marginal is read off the small sum that keeps its
+    axis.
     """
     _check_detect_args(noise_var, 1, 0.0)
     m, j_count = system.alphabet_size, system.n_layers
     step = _check_table_entries([m**j_count])
+    edges, res_edges, _ = _edges(system)
+    # each resource's table on its layers' axes, which _edges lists ascending
+    shapes = [[m if j in system.graph.layers_at(k) else 1 for j in range(j_count)]
+              for k in range(system.n_resources)]
     layer_axes = tuple(range(j_count))
     half = j_count // 2
     # (axes summed out of the table, layers whose axes the sum keeps)
@@ -320,22 +324,14 @@ def batch_map(
 
     def body(y, gains):
         t_s = y.shape[1]
+        edge_values = [system.codebooks[j].codewords[:, k, None] * gains[:, j, k]
+                       for k, j in edges]
+        tables = _resource_tables(y, edge_values, res_edges, noise_var)
+        terms = [t.reshape(shape + [t_s]) for shape, t in zip(shapes, tables) if t is not None]
         ll = np.empty((m,) * j_count + (t_s,))
-        for k in range(system.n_resources):
-            s = 0j
-            for j in system.graph.layers_at(k):
-                shape = [1] * j_count + [t_s]
-                shape[j] = m
-                vals = system.codebooks[j].codewords[:, k, None] * gains[:, j, k]
-                s = s + vals.reshape(shape)
-            r = y[k] - s
-            # scaled while the term still spans only the layers at k
-            term = np.square(r.real) + np.square(r.imag)
-            term /= -noise_var
-            if k:
-                ll += term
-            else:
-                ll[...] = term
+        ll[...] = terms[0]
+        for term in terms[1:]:
+            ll += term
         # shift each trial's best hypothesis to 0 so exp cannot underflow
         # all of a trial's hypotheses
         ll -= ll.max(axis=layer_axes)

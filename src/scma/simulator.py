@@ -32,8 +32,9 @@ from .channel_model import (
     superpose,
 )
 from .codebook import ScmaSystem, build_named_system
+from .constellation import PROJECTION_MERGE_TOL
 from .mpa_detector import (
-    batch_map, batch_mpa, batch_split, collapse_projections, complexity_report,
+    _edges, _entries, _passes, batch_map, batch_mpa, batch_split, collapse_projections,
 )
 
 __all__ = [
@@ -200,14 +201,15 @@ def _run_block(system, config, noise_var, point_index, blocks, consts):
 
 
 def _entries_per_trial(system: ScmaSystem, engine: str) -> int:
-    """Likelihood-table entries the engine builds for one trial: `split`
-    counts both halves' tables, as batch_split builds them; plain `mpa`
-    builds over each edge's distinct values, which on every shipped design
-    are the collapsed projections."""
+    """Likelihood-table entries the engine builds for one trial: the joint
+    table of `map_oracle`, else the MPA passes' tables as batch_mpa and
+    batch_split build them, merged within PROJECTION_MERGE_TOL for
+    `mpa_collapsed` and only where exactly equal otherwise."""
     if engine == "map_oracle":
         return system.alphabet_size**system.n_layers
-    r = complexity_report(system)
-    return sum(r.split if engine == "split" else r.collapsed)
+    edges, res_edges, _ = _edges(system)
+    tol = PROJECTION_MERGE_TOL if engine == "mpa_collapsed" else 0.0
+    return sum(_entries(_passes(system, edges, tol, engine == "split"), res_edges))
 
 
 def run_point(

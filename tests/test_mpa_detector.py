@@ -301,6 +301,35 @@ def test_marginals_finite_under_noise_mismatch(ratio):
         assert np.allclose(marg.sum(axis=2), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "y_scale,gain_scale,nv",
+    [
+        # |y|^2 / noise_var overflows, and every hypothesis ties in float
+        (1e150, 1.0, 1e-12),
+        (1e150, 1.0, 1e-300),
+        (1e100, 1.0, 1e-250),
+        # the same ratio overflows, but the hypotheses' energies differ
+        (1e150, 2.0**465, 1e-12),
+    ],
+)
+def test_batch_map_finite_when_the_unshifted_ratio_overflows(y_scale, gain_scale, nv):
+    # each resource's term is shifted by its trial's best hypothesis before
+    # the division, so only the gaps between hypotheses reach the ratio
+    system = build_named_system("4pt", 4, 2, 6, 4)
+    rng = np.random.default_rng(70)
+    y = y_scale * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) / np.sqrt(2)
+    gains = np.full((8, 6, 4), gain_scale, dtype=complex)
+    got = batch_map(y, gains, system, nv)  # RuntimeWarnings are errors
+    assert np.isfinite(got).all()
+    assert np.allclose(got.sum(axis=2), 1.0, atol=1e-12)
+    # brute force on y and gains scaled by 2**-500, which keeps the argmin
+    hyp = np.indices((4,) * 6).reshape(6, -1).T
+    codewords = np.stack([cb.codewords for cb in system.codebooks])[np.arange(6), hyp]
+    s = (gains[:, None] * 2.0**-500 * codewords).sum(axis=2)
+    energy = (np.abs(y[:, None] * 2.0**-500 - s) ** 2).sum(axis=2)
+    assert np.array_equal(got.argmax(axis=2), hyp[energy.argmin(axis=1)])
+
+
 def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     # at 20 dB most lowproj hypotheses lie far enough from y that exp
     # underflows; those entries must be an exact 0, and every other entry

@@ -346,6 +346,22 @@ def test_split_windows_count_the_entries_split_builds():
     assert simulator._entries_per_trial(system, "split") == 4 * (3 + 3)
 
 
+@pytest.mark.parametrize("n_layers,built,collapsed", [(4, 4 * 16**2, 4 * 9**2), (2, 4 * 16, 4 * 9)])
+def test_mpa_windows_count_the_entries_mpa_builds(n_layers, built, collapsed):
+    # the plain rotation's projections differ only by rounding, so plain mpa
+    # builds over all 16 values per edge, and only mpa_collapsed over 9
+    from scma.codebook import build_system
+    from scma.constellation import (
+        base_lattice, optimize_rotation_projections, rotate, shuffle_construct,
+    )
+
+    _, r = optimize_rotation_projections(base_lattice(2, 4), 9)
+    u = rotate(base_lattice(2, 4), r)
+    system = build_system(4, 2, n_layers, shuffle_construct(u, u))
+    assert simulator._entries_per_trial(system, "mpa") == built
+    assert simulator._entries_per_trial(system, "mpa_collapsed") == collapsed
+
+
 CAPPED_CASES = [
     # design, M, engine, table entries per trial, most trials per call
     ("4pt", 4, "mpa", 4 * 4**3, 512),
