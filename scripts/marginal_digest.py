@@ -25,11 +25,18 @@ joint hypotheses the oracle enumerates (4pt, LDS M = 4, lowproj J = 4 and
 Each case draws its trials from its own seeded generator, and a digest
 covers each case's name and its marginals' bytes, in a fixed order.
 Runtime: about 20 seconds on a 2-core machine.
+
+With `--threads 2` the cases of each row of the matrix run on two threads
+at once, assigned to them alternately, and are digested in the same fixed
+order; the two lines must match the serial run's, since each thread's
+detector calls must get the bits of a serial call.
 """
 
 import argparse
+import functools
 import hashlib
 import sys
+import threading
 
 import numpy as np
 
@@ -98,11 +105,34 @@ def map_cases(scma):
             yield f"{scheme}-J{j}-M{m}/map", system, det.batch_map, ()
 
 
-def digest(scma, matrix) -> tuple[str, int]:
-    """(hex sha256 over every case of `matrix`, the number of cases)."""
+def run(calls, threads):
+    """The results of `calls` (zero-argument functions), in order; with
+    several threads, call i runs on thread i % threads, all at once."""
+    if threads == 1:
+        return [call() for call in calls]
+    results = [None] * len(calls)
+
+    def work(first):
+        for i in range(first, len(calls), threads):
+            results[i] = calls[i]()
+
+    pool = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join()
+    if any(r is None for r in results):
+        raise RuntimeError("a detector call failed on a worker thread")
+    return results
+
+
+def digest(scma, matrix, threads=1) -> tuple[str, int]:
+    """(hex sha256 over every case of `matrix`, the number of cases); each
+    matrix row's cases run on `threads` threads."""
     h = hashlib.sha256()
     count = 0
     for c, (name, system, engine, args) in enumerate(matrix):
+        labels, calls = [], []
         for mode in MODES:
             for snr_db in SNRS_DB:
                 for size in TRIALS:
@@ -110,16 +140,20 @@ def digest(scma, matrix) -> tuple[str, int]:
                     y, gains, nv = trials(scma, system, mode, snr_db, size, seed)
                     if engine is scma.mpa_detector.batch_split:
                         gains = np.abs(gains)  # split needs real gains
-                    marginals = engine(y, gains, system, nv, *args)
-                    h.update(f"{name}/{mode}/{snr_db}/{size}".encode())
-                    h.update(np.ascontiguousarray(marginals, dtype=np.float64).tobytes())
-                    count += 1
+                    labels.append(f"{name}/{mode}/{snr_db}/{size}")
+                    calls.append(functools.partial(engine, y, gains, system, nv, *args))
+        for label, marginals in zip(labels, run(calls, threads)):
+            h.update(label.encode())
+            h.update(np.ascontiguousarray(marginals, dtype=np.float64).tobytes())
+            count += 1
     return h.hexdigest(), count
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", help="directory holding the scma package")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="run each row's cases on this many threads, alternately")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import scma.channel_model
@@ -129,7 +163,7 @@ def main() -> None:
     import scma.mpa_detector
 
     for matrix, label in ((cases(scma), "cases"), (map_cases(scma), "map cases")):
-        hexdigest, count = digest(scma, matrix)
+        hexdigest, count = digest(scma, matrix, args.threads)
         print(f"{hexdigest}  {count} {label}")
 
 

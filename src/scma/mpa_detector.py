@@ -9,6 +9,8 @@ variant and a real/imaginary split variant share its machinery.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,13 +105,49 @@ def _entries(passes, res_edges) -> tuple[int, ...]:
                  for es in res_edges)
 
 
-def _normalise(msg: np.ndarray) -> np.ndarray:
-    """Normalise (X, M, T) messages over the alphabet axis M; columns that
-    sum to 0 (total underflow) fall back to uniform."""
+class _Workspace:
+    """One thread's buffers, by name; each grows to the largest request so
+    far, so the slice cap bounds it as it bounds the arrays it holds."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def get(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        """A C-ordered array of `shape` and `dtype` on buffer `name`."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self.buffers[name] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+_idle = threading.local()  # .work: the thread's workspace while no engine holds it
+
+
+@contextmanager
+def _workspace():
+    """The calling thread's workspace, lent to one engine call; a second
+    user in the same thread meanwhile gets fresh buffers. A thread frees
+    its workspace when it exits."""
+    work = getattr(_idle, "work", None) or _Workspace()
+    _idle.work = None
+    try:
+        yield work
+    finally:
+        _idle.work = work
+
+
+def _normalise(msg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Normalise (X, M, T) messages over the alphabet axis M, into `out`
+    (which may be msg) or a fresh array; columns that sum to 0 (total
+    underflow) fall back to uniform."""
     total = np.einsum("xmt->xt", msg)[:, None]
-    if (total > 0).all():
-        return msg / total
-    return np.where(total > 0, msg / np.where(total > 0, total, 1.0), 1.0 / msg.shape[1])
+    full = total > 0
+    if full.all():
+        return np.divide(msg, total, out=out)
+    out = np.divide(msg, np.where(full, total, 1.0), out=out)
+    np.copyto(out, 1.0 / msg.shape[1], where=~full)
+    return out
 
 
 def _exp_flushed(a: np.ndarray) -> np.ndarray:
@@ -124,34 +162,48 @@ def _exp_flushed(a: np.ndarray) -> np.ndarray:
 
 
 def _damped(new: np.ndarray, old: np.ndarray, damping: float) -> np.ndarray:
-    """(1 - damping) * new + damping * old; new itself when undamped."""
-    return (1.0 - damping) * new + damping * old if damping else new
+    """(1 - damping) * new + damping * old, into new; old is scratch after."""
+    if damping:
+        new *= 1.0 - damping
+        old *= damping
+        new += old
+    return new
 
 
-def _resource_tables(y, edge_values, res_edges, noise_var):
+def _resource_tables(y, edge_values, res_edges, noise_var, work=None):
     """Per resource, yield the log table -(|y_k - s|^2 - min_s |y_k - s|^2) /
     noise_var over every sum s of its edges' values, or None without edges;
     shifted first, it overflows only at entries far behind the trial's best.
     The first d - 1 edges fold into a complex residual y_k - s; the energy
     against the last is real arithmetic. A table is a C-ordered (rows,
     columns, T) array: rows over the value combinations of every edge but
-    the last, columns over the last edge's values. The imaginary part lives
-    in one scratch buffer; a caller uses each table, in cache, before the next.
+    the last, columns over the last edge's values. The tables lie side by
+    side in one buffer of `work` (a _Workspace; fresh buffers without it),
+    and the residuals and the imaginary part in scratch buffers; a caller
+    uses each table, in cache, before the next.
     """
     t_count = y.shape[-1]
-    scratch = np.empty(0)
-    for k, es in enumerate(res_edges):
+    sizes = [math.prod(len(edge_values[e]) for e in es) * t_count if es else 0
+             for es in res_edges]
+    work = _Workspace() if work is None else work
+    tables = work.get("tables", (sum(sizes),))
+    scratch = work.get("im", (max(sizes),))
+    offset = 0
+    for k, (es, size) in enumerate(zip(res_edges, sizes)):
         if not es:
             yield None
             continue
         r = y[k][None]
-        for e in es[:-1]:
-            r = (r[:, None] - edge_values[e]).reshape(-1, t_count)
+        for i, e in enumerate(es[:-1]):
+            level = work.get(f"residual{i % 2}", (len(r), len(edge_values[e]), t_count),
+                             np.result_type(r, edge_values[e]))
+            r = np.subtract(r[:, None], edge_values[e], out=level).reshape(-1, t_count)
         last = edge_values[es[-1]]
-        table = np.subtract(r.real[:, None], last.real)
-        if scratch.size < table.size:
-            scratch = np.empty(table.size)
-        im = scratch[: table.size].reshape(table.shape)
+        shape = (len(r), len(last), t_count)
+        table = tables[offset : offset + size].reshape(shape)
+        offset += size
+        np.subtract(r.real[:, None], last.real, out=table)
+        im = scratch[:size].reshape(shape)
         np.subtract(r.imag[:, None], last.imag, out=im)
         np.add(np.square(table, out=table), np.square(im, out=im), out=table)
         table -= table.min(axis=(0, 1))
@@ -181,7 +233,7 @@ def _leave_one_out(table, msgs):
 
 
 def _run_mpa(y, gains, edges, columns, res_edges, lay_edges, alphabet, noise_var, max_iter,
-             damping):
+             damping, work):
     """Flooding sum-product over each edge's values; returns the (J,
     alphabet, T) marginals.
 
@@ -193,21 +245,32 @@ def _run_mpa(y, gains, edges, columns, res_edges, lay_edges, alphabet, noise_var
     are built and contracted over the values, a message is summed onto them
     on its way into a resource, and the value's output is copied back to
     its symbols. Messages are (E, alphabet, T); lay_edges holds each
-    layer's N edges.
+    layer's N edges. The edge values, the tables, the three message arrays
+    and the layer update's gather are buffers of the _Workspace `work`; a
+    new message is normalised and damped in place in `out`, which then
+    trades places with the old one.
     """
     t_count = y.shape[-1]
-    l2r = r2l = np.full((len(edges), alphabet, t_count), 1.0 / alphabet)
-    edge_values = [gains[:, j, k] * vals[:, None] for (k, j), (vals, _) in zip(edges, columns)]
+    shape = (len(edges), alphabet, t_count)
+    l2r, r2l, out = (work.get(name, shape) for name in ("l2r", "r2l", "out"))
+    l2r.fill(1.0 / alphabet)
+    r2l.fill(1.0 / alphabet)
+    counts = [len(vals) for vals, _ in columns]
+    flat = work.get("values", (sum(counts), t_count), np.result_type(gains, columns[0][0]))
+    edge_values = np.split(flat, np.cumsum(counts)[:-1])
+    for (k, j), (vals, _), values in zip(edges, columns, edge_values):
+        np.multiply(gains[:, j, k], vals[:, None], out=values)
     edge_index = [None if idx.tolist() == list(range(len(vals))) else idx
                   for vals, idx in columns]
     # per edge with an index, the (A_e, alphabet) indicator of each symbol's value
     onto = [None if idx is None else np.eye(len(vals))[:, idx]
             for vals, idx in zip(edge_values, edge_index)]
     tables = [t if t is None else _exp_flushed(t)
-              for t in _resource_tables(y, edge_values, res_edges, noise_var)]
-    n = lay_edges.shape[1]  # others[i]: the positions of a layer's edges but its i-th
-    others = [[i2 for i2 in range(n) if i2 != i] for i in range(n)]
-    out = np.empty_like(r2l)
+              for t in _resource_tables(y, edge_values, res_edges, noise_var, work)]
+    n = lay_edges.shape[1]  # mates[e]: the other edges of e's layer, in layer order
+    mates = np.empty((len(edges), n - 1), dtype=np.intp)
+    mates[lay_edges] = lay_edges[:, [[i2 for i2 in range(n) if i2 != i] for i in range(n)]]
+    gather = work.get("gather", (len(edges), n - 1) + shape[1:])
     for it in range(max_iter):
         for k, es in enumerate(res_edges):
             if tables[k] is None:
@@ -216,13 +279,17 @@ def _run_mpa(y, gains, edges, columns, res_edges, lay_edges, alphabet, noise_var
                         for e, m in zip(es, l2r[es])]
             for e, o in zip(es, _leave_one_out(tables[k], incoming)):
                 out[e] = o if edge_index[e] is None else o[edge_index[e]]
-        r2l = _damped(_normalise(out), r2l, damping)
+        r2l, out = _damped(_normalise(out, out), r2l, damping), r2l
         if it == max_iter - 1:
             break  # the marginals read r2l only
-        out[lay_edges] = r2l[lay_edges[:, others]].prod(axis=2)
-        l2r = _damped(_normalise(out), l2r, damping)
+        # mode="clip" (the indices are all valid) writes `out` directly:
+        # the default mode takes a temporary copy of it
+        np.take(r2l, mates, axis=0, out=gather, mode="clip").prod(axis=1, out=out)
+        l2r, out = _damped(_normalise(out, out), l2r, damping), l2r
 
-    return _normalise(r2l[lay_edges].prod(axis=1))
+    beliefs = work.get("gather", lay_edges.shape + shape[1:])
+    marginals = np.take(r2l, lay_edges, axis=0, out=beliefs, mode="clip").prod(axis=1)
+    return _normalise(marginals, marginals)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +308,8 @@ def _trial_slices(body, y, gains, system, step: int) -> np.ndarray:
     terms add in axis order and get the same bits at any call size; a lone
     trial would leave a summed axis innermost, so a one-trial slice runs as
     two copies of it, unless every slice holds one trial (two would then
-    exceed the cap). The result is C-ordered, so that a caller's sums over
-    M run along M at any call size.
+    exceed the cap). The result is a fresh C-ordered array, so that a
+    caller's sums over M run along M at any call size.
     """
     y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
     gains = np.asarray(gains, dtype=np.complex128)
@@ -257,14 +324,14 @@ def _trial_slices(body, y, gains, system, step: int) -> np.ndarray:
         )
     if not (np.isfinite(y).all() and np.isfinite(gains).all()):
         raise ValueError("y and gains must be finite")
-    parts = []
+    marginals = np.empty((len(y), j_count, system.alphabet_size))
     for lo in range(0, len(y), step):
         y_s, g_s = y[lo : lo + step], gains[lo : lo + step]
         n = len(y_s)
         if n == 1 < step:
             y_s, g_s = y_s[[0, 0]], g_s[[0, 0]]
-        parts.append(body(y_s.T, g_s)[..., :n])
-    return np.concatenate(parts, axis=2).transpose(2, 0, 1).copy()
+        marginals[lo : lo + n] = body(y_s.T, g_s)[..., :n].transpose(2, 0, 1)
+    return marginals
 
 
 def batch_mpa(
@@ -289,11 +356,12 @@ def batch_mpa(
     edges, res_edges, lay_edges = _edges(system)
     passes = _passes(system, edges) if tables is None else [[tables[e] for e in edges]]
     step = _check_table_entries(_entries(passes, res_edges))
-    return _trial_slices(
-        lambda y, gains: _run_mpa(y, gains, edges, passes[0], res_edges, lay_edges,
-                                  system.alphabet_size, noise_var, max_iter, damping),
-        y, gains, system, step,
-    )
+    with _workspace() as work:
+        return _trial_slices(
+            lambda y, gains: _run_mpa(y, gains, edges, passes[0], res_edges, lay_edges,
+                                      system.alphabet_size, noise_var, max_iter, damping, work),
+            y, gains, system, step,
+        )
 
 
 def batch_map(
@@ -303,12 +371,12 @@ def batch_map(
 
     Resource k's term is its MPA log table from _resource_tables, over
     every symbol's value on k's edges and laid on the axes of the layers at
-    k; the K terms broadcast into one (M, ..., M, T) table. Trials go last,
-    so the sums over layer axes add contiguous rows, and are sliced to keep
-    the table within MAX_SLICE_ENTRIES entries, or one trial's. The table is
-    summed twice, over the second and over the first half of the layer
-    axes; each layer's marginal is read off the small sum that keeps its
-    axis.
+    k; the K terms broadcast into one (M, ..., M, T) table, which like them
+    lives in the thread's workspace. Trials go last, so the sums over layer
+    axes add contiguous rows, and are sliced to keep the table within
+    MAX_SLICE_ENTRIES entries, or one trial's. The table is summed twice,
+    over the second and over the first half of the layer axes; each layer's
+    marginal is read off the small sum that keeps its axis.
     """
     _check_detect_args(noise_var, 1, 0.0)
     m, j_count = system.alphabet_size, system.n_layers
@@ -326,9 +394,9 @@ def batch_map(
         t_s = y.shape[1]
         edge_values = [system.codebooks[j].codewords[:, k, None] * gains[:, j, k]
                        for k, j in edges]
-        tables = _resource_tables(y, edge_values, res_edges, noise_var)
+        tables = _resource_tables(y, edge_values, res_edges, noise_var, work)
         terms = [t.reshape(shape + [t_s]) for shape, t in zip(shapes, tables) if t is not None]
-        ll = np.empty((m,) * j_count + (t_s,))
+        ll = work.get("joint", (m,) * j_count + (t_s,))
         ll[...] = terms[0]
         for term in terms[1:]:
             ll += term
@@ -346,7 +414,8 @@ def batch_map(
                 marginals[j] = part.sum(axis=others)
         return marginals
 
-    marginals = _trial_slices(body, y, gains, system, step)
+    with _workspace() as work:
+        marginals = _trial_slices(body, y, gains, system, step)
     return marginals / marginals.sum(axis=2, keepdims=True)
 
 
@@ -379,13 +448,14 @@ def batch_split(
             raise ValueError("split detection needs real channel gains")
         marg_re, marg_im = (
             _run_mpa(part, gains.real, edges, columns, res_edges, lay_edges,
-                     len(columns[0][1]), noise_var, max_iter, 0.0)
+                     len(columns[0][1]), noise_var, max_iter, 0.0, work)
             for part, columns in zip((y.real, y.imag), passes)
         )
         combined = marg_re[:, :, None] * marg_im[:, None]
         return _normalise(combined.reshape(system.n_layers, -1, y.shape[1]))
 
-    return _trial_slices(body, y, gains, system, step)
+    with _workspace() as work:
+        return _trial_slices(body, y, gains, system, step)
 
 
 # ---------------------------------------------------------------------------

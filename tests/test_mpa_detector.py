@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1082,3 +1085,123 @@ def test_batch_engines_reject_empty_stacks(engine):
     system = build_named_system("lds", 4, 2, 2, 16)
     with pytest.raises(ValueError, match="at least one trial"):
         engine(np.zeros((0, 4)), np.ones((0, 2, 4)), system, 0.1)
+
+
+
+def workspace_calls(seed):
+    """(name, zero-argument call) per engine case that the per-thread
+    workspace serves, on batches drawn from `seed`: batch_mpa on 4pt, on
+    lowproj collapsed and damped, batch_split and batch_map."""
+    rng = np.random.default_rng(seed)
+    fourpt = build_named_system("4pt", 4, 2, 6, 4)
+    lowproj = build_named_system("lowproj", 4, 2, 6, 16)
+    separable = build_named_system("lowproj", 4, 2, 2, 16)
+    tables = collapse_projections(lowproj)
+    y_a, g_a, nv_a = random_batch(fourpt, 8.0, rng, "awgn", 64)
+    y_b, g_b, nv_b = random_batch(lowproj, 16.0, rng, "uplink_rayleigh", 24)
+    y_c, g_c, nv_c = random_batch(fourpt, 8.0, rng, "uplink_rayleigh", 40)
+    y_d, g_d, nv_d = random_batch(separable, 12.0, rng, "awgn", 48)
+    y_e, g_e, nv_e = random_batch(fourpt, 8.0, rng, "uplink_rayleigh", 16)
+    return [
+        ("mpa-4pt", lambda: batch_mpa(y_a, g_a, fourpt, nv_a, 4)),
+        ("mpa-lowproj-collapsed", lambda: batch_mpa(y_b, g_b, lowproj, nv_b, 4, 0.0, tables)),
+        ("mpa-damped", lambda: batch_mpa(y_c, g_c, fourpt, nv_c, 4, 0.3)),
+        ("split", lambda: batch_split(y_d, g_d, separable, nv_d, 4)),
+        ("map", lambda: batch_map(y_e, g_e, fourpt, nv_e)),
+    ]
+
+
+def in_fresh_thread(run):
+    """run() in a new thread, whose workspace starts empty; returns its result."""
+    box = []
+    thread = threading.Thread(target=lambda: box.append(run()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return box[0]
+
+
+@pytest.mark.parametrize("engine,scheme,mode,trials", [
+    (batch_mpa, "4pt", "awgn", 512),
+    (batch_map, "4pt", "uplink_rayleigh", 128),
+])
+def test_warm_calls_reuse_the_workspace(engine, scheme, mode, trials):
+    # a warm call writes its tables, messages and (map) joint table into the
+    # buffers the cold call grew, so it allocates under half as much on top
+    # of what the thread already holds
+    system = build_named_system(scheme, 4, 2, 6, 4)
+    y, gains, nv = random_batch(system, 8.0, np.random.default_rng(trials), mode, trials)
+
+    def peaks():
+        got = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                engine(y, gains, system, nv)
+                got.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        return got
+
+    cold, *warm = in_fresh_thread(peaks)
+    assert max(warm) < cold / 2
+
+
+def test_engines_on_two_threads_give_the_serial_bits():
+    # each thread lends its own workspace to its calls: two threads running
+    # every engine at once, on different batches and in opposite orders,
+    # get the bits of a serial call
+    calls = [workspace_calls(0), workspace_calls(1)[::-1]]
+    serial = [[call() for _, call in cases] for cases in calls]
+    start = threading.Barrier(2, timeout=60)
+    got = [[], []]
+
+    def run(i):
+        for _ in range(20):
+            start.wait()
+            got[i].append([call() for _, call in calls[i]])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter over often between numpy calls
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for cases, want, rounds in zip(calls, serial, got):
+        assert len(rounds) == 20
+        for results in rounds:
+            for (name, _), w, g in zip(cases, want, results):
+                assert np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_results_belong_to_the_caller(case):
+    # no engine returns a view of its workspace: a write into one call's
+    # marginals leaves the next call's alone, and two calls share no memory
+    name, call = workspace_calls(2)[case]
+    first = call()
+    want = first.copy()
+    first[...] = -1.0
+    second = call()
+    assert np.array_equal(second, want), name
+    assert not np.shares_memory(first, second)
+
+
+def test_an_engine_inside_a_held_workspace_gets_its_own_buffers():
+    # the thread's workspace is lent to one user at a time: an engine called
+    # while it is held runs on fresh buffers and leaves the holder's intact
+    name, call = workspace_calls(3)[0]
+    want = call()  # grows this thread's workspace
+    with mpa_detector._workspace() as held:
+        assert held.buffers
+        for buf in held.buffers.values():
+            buf.fill(7)
+        assert np.array_equal(call(), want)
+        assert all((buf == 7).all() for buf in held.buffers.values())
