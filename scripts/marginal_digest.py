@@ -20,7 +20,10 @@ engines x systems x channels x SNR x trial counts:
 
 The second line covers `batch_map` on every one of those systems whose M**J
 joint hypotheses the oracle enumerates (4pt, LDS M = 4, lowproj J = 4 and
-2), over the same channels, SNRs and trial counts.
+2), over the same channels, SNRs and trial counts, once told the true noise
+variance and once told MISMATCH times it: then up to about half the trials
+of a call sum their product weights below the oracle's floor and are
+recomputed in the log domain, so the line covers that fallback too.
 
 Each case draws its trials from its own seeded generator, and a digest
 covers each case's name and its marginals' bytes, in a fixed order.
@@ -46,6 +49,7 @@ MODES = ("awgn", "uplink_rayleigh")
 SNRS_DB = (8.0, 20.0)
 TRIALS = (1, 2, 17, 129, 512)
 MAX_ITER = 4
+MISMATCH = 1e-2
 
 
 def identity_phase_system(scma, mother):
@@ -96,13 +100,19 @@ def cases(scma):
 
 
 def map_cases(scma):
-    """(name, system, batch_map, ()) per system of SYSTEMS within the MAP
-    oracle's hypothesis cap, in a fixed order."""
+    """(name, system, engine, ()) per system of SYSTEMS within the MAP
+    oracle's hypothesis cap: batch_map, then batch_map told MISMATCH times
+    the true noise variance, in a fixed order."""
     det = scma.mpa_detector
+
+    def mismatched(y, gains, system, nv):
+        return det.batch_map(y, gains, system, nv * MISMATCH)
+
     for scheme, j, m in SYSTEMS:
         if m**j <= det.MAX_JOINT_HYPOTHESES:
             system = scma.codebook.build_named_system(scheme, 4, 2, j, m)
             yield f"{scheme}-J{j}-M{m}/map", system, det.batch_map, ()
+            yield f"{scheme}-J{j}-M{m}/map-nv{MISMATCH:g}", system, mismatched, ()
 
 
 def run(calls, threads):

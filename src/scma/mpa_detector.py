@@ -40,6 +40,9 @@ MAX_JOINT_HYPOTHESES = 1 << 20
 # entry of at least 2**-511 is a normal float: subnormal products would cost
 # a microcode assist each in the contractions over the tables.
 EXP_FLUSH_ARG = -354.0
+# ln of the smallest normal float64: a product of K factors, each 0 or at
+# least exp(LOG_TINY / K), is 0 or a normal float
+LOG_TINY = math.log(np.finfo(np.float64).tiny)
 # table entries of one trial slice, over all its resources: 4 MB of float64,
 # so with four resources a table and its scratch (1 MB each) stay within a
 # 2 MB L2, and a 128-trial lowproj call (2916 entries per trial) is one slice
@@ -150,12 +153,12 @@ def _normalise(msg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _exp_flushed(a: np.ndarray) -> np.ndarray:
-    """exp(a) in place, with every entry whose argument is below
-    EXP_FLUSH_ARG (-inf included) set to an exact 0; exp itself only ever
-    sees arguments on its fast path."""
-    keep = a >= EXP_FLUSH_ARG
-    np.maximum(a, EXP_FLUSH_ARG, out=a)
+def _exp_flushed(a: np.ndarray, cut: float = EXP_FLUSH_ARG) -> np.ndarray:
+    """exp(a) in place, with every entry whose argument is below `cut`
+    (-inf included) set to an exact 0; with a cut of at least EXP_FLUSH_ARG
+    exp itself only ever sees arguments on its fast path."""
+    keep = a >= cut
+    np.maximum(a, cut, out=a)
     np.exp(a, out=a)
     a *= keep
     return a
@@ -172,22 +175,25 @@ def _damped(new: np.ndarray, old: np.ndarray, damping: float) -> np.ndarray:
 
 def _resource_tables(y, edge_values, res_edges, noise_var, work=None):
     """Per resource, yield the log table -(|y_k - s|^2 - min_s |y_k - s|^2) /
-    noise_var over every sum s of its edges' values, or None without edges;
-    shifted first, it overflows only at entries far behind the trial's best.
-    The first d - 1 edges fold into a complex residual y_k - s; the energy
-    against the last is real arithmetic. A table is a C-ordered (rows,
-    columns, T) array: rows over the value combinations of every edge but
-    the last, columns over the last edge's values. The tables lie side by
-    side in one buffer of `work` (a _Workspace; fresh buffers without it),
-    and the residuals and the imaginary part in scratch buffers; a caller
-    uses each table, in cache, before the next.
+    noise_var over every sum s of its edges' values, or None without edges.
+    The energy is shifted by its trial's best before the division, and
+    clamped where the ratio would pass max_float / 2K, so that no ratio
+    overflows, nor a sum of K of them; an entry that far behind the best
+    weighs 0 next to it either way. The first d - 1 edges fold into a
+    residual y_k - s; the energy against the last is real arithmetic, with
+    no imaginary part when the residuals and values are real. A table is a
+    C-ordered (rows, columns, T) array: rows over the value combinations of
+    every edge but the last, columns over the last edge's values. The
+    tables lie side by side in one buffer of `work` (a _Workspace; fresh
+    buffers without it), and the residuals and the imaginary part in
+    scratch buffers; a caller uses each table, in cache, before the next.
     """
     t_count = y.shape[-1]
     sizes = [math.prod(len(edge_values[e]) for e in es) * t_count if es else 0
              for es in res_edges]
     work = _Workspace() if work is None else work
     tables = work.get("tables", (sum(sizes),))
-    scratch = work.get("im", (max(sizes),))
+    limit = float(noise_var) * (np.finfo(np.float64).max / (2 * len(res_edges)))
     offset = 0
     for k, (es, size) in enumerate(zip(res_edges, sizes)):
         if not es:
@@ -203,10 +209,13 @@ def _resource_tables(y, edge_values, res_edges, noise_var, work=None):
         table = tables[offset : offset + size].reshape(shape)
         offset += size
         np.subtract(r.real[:, None], last.real, out=table)
-        im = scratch[:size].reshape(shape)
-        np.subtract(r.imag[:, None], last.imag, out=im)
-        np.add(np.square(table, out=table), np.square(im, out=im), out=table)
+        np.square(table, out=table)
+        if np.iscomplexobj(r) or np.iscomplexobj(last):
+            im = work.get("im", (max(sizes),))[:size].reshape(shape)
+            np.subtract(r.imag[:, None], last.imag, out=im)
+            np.add(table, np.square(im, out=im), out=table)
         table -= table.min(axis=(0, 1))
+        np.minimum(table, limit, out=table)
         table /= -noise_var
         yield table
 
@@ -364,19 +373,72 @@ def batch_mpa(
         )
 
 
+def _joint_marginals(terms, combine, work, shift=False) -> np.ndarray:
+    """(J, M, T) unnormalised MAP marginals of the joint table that `combine`
+    (np.multiply over weight factors, np.add over log terms) builds from
+    `terms`, each on the J layer axes (M, or 1 where its resource lacks the
+    layer) and then trials. The table is built one slab of the first layer
+    axis at a time (the whole table when J = 1) in the buffer "joint" of
+    `work`, and each slab is summed into two small tables that keep the
+    first and the second half of the layer axes. With `shift` the slabs are
+    log weights: a first pass finds each trial's best joint hypothesis, and
+    each slab is shifted by it and exponentiated (flushed) before its sums.
+    """
+    shape = np.broadcast_shapes(*(t.shape for t in terms))
+    j_count, m, t_count = len(shape) - 1, shape[0], shape[-1]
+    slabbed = int(j_count > 1)
+    half = j_count // 2
+    below = tuple(range(half - slabbed))  # the first half's axes within a slab
+    slab = work.get("joint", shape[slabbed:])
+    first = work.get("first", shape[:half] + (t_count,))
+    second = work.get("second", shape[half:])
+    partial = work.get("partial", shape[half:])
+
+    def slabs():
+        for i in range(m) if slabbed else [None]:
+            views = [t if i is None else t[min(i, len(t) - 1)] for t in terms]
+            if len(views) == 1:
+                np.copyto(slab, views[0])
+            else:
+                combine(views[0], views[1], out=slab)
+            for view in views[2:]:
+                combine(slab, view, out=slab)
+            yield slab
+
+    weights = slabs()
+    if shift:
+        top = np.full(t_count, -np.inf)
+        for ll in weights:
+            np.maximum(top, ll.max(axis=tuple(range(j_count - slabbed))), out=top)
+        weights = (_exp_flushed(np.subtract(ll, top, out=ll)) for ll in slabs())
+    for i, w in enumerate(weights):
+        if half:
+            w.sum(axis=tuple(range(half - 1, j_count - 1)), out=first[i])
+        if i == 0:
+            w.sum(axis=below, out=second)
+        else:
+            second += w.sum(axis=below, out=partial)
+    marginals = np.empty((j_count, m, t_count))
+    for part, layers in ((first, range(half)), (second, range(half, j_count))):
+        for i, j in enumerate(layers):
+            marginals[j] = part.sum(axis=tuple(a for a in range(len(layers)) if a != i))
+    return marginals
+
+
 def batch_map(
     y: np.ndarray, gains: np.ndarray, system: ScmaSystem, noise_var: float
 ) -> np.ndarray:
-    """Exact joint-MAP marginals over all M**J hypotheses, in one pass.
+    """Exact joint-MAP marginals over all M**J hypotheses.
 
-    Resource k's term is its MPA log table from _resource_tables, over
-    every symbol's value on k's edges and laid on the axes of the layers at
-    k; the K terms broadcast into one (M, ..., M, T) table, which like them
-    lives in the thread's workspace. Trials go last, so the sums over layer
-    axes add contiguous rows, and are sliced to keep the table within
-    MAX_SLICE_ENTRIES entries, or one trial's. The table is summed twice,
-    over the second and over the first half of the layer axes; each layer's
-    marginal is read off the small sum that keeps its axis.
+    The likelihood factorises over resources: resource k's factor is the
+    exp of its MPA log table from _resource_tables, over every symbol's
+    value on k's edges, laid on the axes of the layers at k and flushed
+    below LOG_TINY / K, so that a product of the K factors is 0 or a normal
+    float; _joint_marginals multiplies them one slab at a time. A trial
+    whose weights sum below M**J * exp(cut) * 2**60 may have lost mass to
+    flushed factors, so it is recomputed from the log terms; a lone such
+    trial runs as two copies, as in _trial_slices. Trials are sliced to keep
+    the joint table within MAX_SLICE_ENTRIES entries, or one trial's.
     """
     _check_detect_args(noise_var, 1, 0.0)
     m, j_count = system.alphabet_size, system.n_layers
@@ -385,33 +447,24 @@ def batch_map(
     # each resource's table on its layers' axes, which _edges lists ascending
     shapes = [[m if j in system.graph.layers_at(k) else 1 for j in range(j_count)]
               for k in range(system.n_resources)]
-    layer_axes = tuple(range(j_count))
-    half = j_count // 2
-    # (axes summed out of the table, layers whose axes the sum keeps)
-    halves = [(layer_axes[half:], range(half)), (layer_axes[:half], range(half, j_count))]
+    cut = max(EXP_FLUSH_ARG, math.ceil(LOG_TINY / sum(map(bool, res_edges))))
+    floor = m**j_count * math.exp(cut) * 2.0**60
 
-    def body(y, gains):
-        t_s = y.shape[1]
+    def log_terms(y, gains):
         edge_values = [system.codebooks[j].codewords[:, k, None] * gains[:, j, k]
                        for k, j in edges]
         tables = _resource_tables(y, edge_values, res_edges, noise_var, work)
-        terms = [t.reshape(shape + [t_s]) for shape, t in zip(shapes, tables) if t is not None]
-        ll = work.get("joint", (m,) * j_count + (t_s,))
-        ll[...] = terms[0]
-        for term in terms[1:]:
-            ll += term
-        # shift each trial's best hypothesis to 0 so exp cannot underflow
-        # all of a trial's hypotheses
-        ll -= ll.max(axis=layer_axes)
-        w = _exp_flushed(ll)
-        marginals = np.empty((j_count, m, t_s))
-        for summed, kept in halves:
-            if not kept:
-                continue
-            part = w.sum(axis=summed)
-            for i, j in enumerate(kept):
-                others = tuple(a for a in range(len(kept)) if a != i)
-                marginals[j] = part.sum(axis=others)
+        return [t.reshape(shape + [y.shape[1]])
+                for shape, t in zip(shapes, tables) if t is not None]
+
+    def body(y, gains):
+        factors = [_exp_flushed(t, cut) for t in log_terms(y, gains)]
+        marginals = _joint_marginals(factors, np.multiply, work)
+        redo = np.flatnonzero(marginals[0].sum(axis=0) < floor)
+        if len(redo):
+            run = redo[[0, 0]] if len(redo) == 1 < y.shape[1] else redo  # a lone trial twice
+            exact = _joint_marginals(log_terms(y[:, run], gains[run]), np.add, work, shift=True)
+            marginals[..., redo] = exact[..., : len(redo)]
         return marginals
 
     with _workspace() as work:

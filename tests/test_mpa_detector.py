@@ -333,6 +333,42 @@ def test_batch_map_finite_when_the_unshifted_ratio_overflows(y_scale, gain_scale
     assert np.array_equal(got.argmax(axis=2), hyp[energy.argmin(axis=1)])
 
 
+def test_engines_finite_when_the_shifted_ratio_overflows():
+    # entries far behind their trial's best overflow the ratio even after
+    # the shift; clamped, they flush to 0, and a MAP trial whose
+    # per-resource best hypotheses never meet in one joint hypothesis still
+    # gets finite marginals (RuntimeWarnings are errors)
+    system = build_named_system("4pt", 4, 2, 6, 4)
+    rng = np.random.default_rng(71)
+    y = 1e150 * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) / np.sqrt(2)
+    gains = np.full((8, 6, 4), 2.0**480, dtype=complex)
+    for marg in (batch_mpa(y, gains, system, 1e-30), batch_map(y, gains, system, 1e-30)):
+        assert np.isfinite(marg).all()
+        assert np.allclose(marg.sum(axis=2), 1.0, atol=1e-12)
+
+
+def test_map_weights_are_zero_or_normal(monkeypatch):
+    # each resource's factor is flushed below LOG_TINY / K, so that every
+    # product of the K factors, and so every joint weight, is an exact 0 or
+    # a normal float; at 20 dB many factors are flushed
+    joint = mpa_detector._joint_marginals
+    factors = []
+
+    def recording(terms, combine, work, shift=False):
+        if combine is np.multiply:
+            factors.append([t.copy() for t in terms])
+        return joint(terms, combine, work, shift)
+
+    monkeypatch.setattr(mpa_detector, "_joint_marginals", recording)
+    system = build_named_system("4pt", 4, 2, 6, 4)
+    y, gains, nv = random_batch(system, 20.0, np.random.default_rng(61), "uplink_rayleigh", 16)
+    batch_map(y, gains, system, nv)
+    (terms,) = factors
+    weights = math.prod(terms)
+    assert (weights == 0).mean() > 0.1
+    assert ((weights == 0) | (weights >= np.finfo(np.float64).tiny)).all()
+
+
 def test_likelihood_tables_hold_no_subnormals(monkeypatch):
     # at 20 dB most lowproj hypotheses lie far enough from y that exp
     # underflows; those entries must be an exact 0, and every other entry
@@ -675,6 +711,50 @@ def test_batch_map_matches_reference_oracle(scheme, n_layers, m, mode, size, snr
     got = batch_map(y, gains, system, nv)
     want = reference_map(y, gains, system, nv)
     assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_res,n_layers", [(2, 1), (4, 4)])
+def test_batch_map_on_one_layer_per_resource(n_res, n_layers):
+    # N = 1: every resource carries at most one layer, so a slab is the
+    # product of one-axis factors, and with a single active resource the
+    # joint table is that resource's factor alone
+    system = build_named_system("lds", n_res, 1, n_layers, 4)
+    y, gains, nv = random_batch(system, 8.0, np.random.default_rng(51), "uplink_rayleigh", 16)
+    got = batch_map(y, gains, system, nv)
+    assert np.abs(got - reference_map(y, gains, system, nv)).max() <= 1e-12
+
+
+def test_map_fallback_trials_keep_their_bits_at_any_call_size(monkeypatch):
+    # trials with 25 dB more noise than the detector is told of mostly sum
+    # their product weights below the floor and are recomputed in the log
+    # domain; mixed with ordinary trials, each gets the bits it gets in calls
+    # of 1, 2 and 17 trials, and a lone such trial runs as two copies
+    system = build_named_system("4pt", 4, 2, 6, 4)
+    rng = np.random.default_rng(80)
+    y_a, g_a, nv = random_batch(system, 12.0, rng, "uplink_rayleigh", 20)
+    y_b, g_b, _ = random_batch(system, -13.0, rng, "uplink_rayleigh", 20)
+    order = rng.permutation(40)
+    y, gains = np.concatenate([y_a, y_b])[order], np.concatenate([g_a, g_b])[order]
+    joint = mpa_detector._joint_marginals
+    redone = []
+
+    def recording(terms, combine, work, shift=False):
+        if shift:
+            redone.append(terms[0].shape[-1])
+        return joint(terms, combine, work, shift)
+
+    monkeypatch.setattr(mpa_detector, "_joint_marginals", recording)
+    whole = batch_map(y, gains, system, nv)
+    assert len(redone) == 1 and 10 <= redone[0] < 20
+    assert np.abs(whole - reference_map(y, gains, system, nv)).max() <= 1e-12
+    for size in (1, 2, 17):
+        redone.clear()
+        cuts = range(size, len(y), size)
+        parts = [batch_map(y_c, g_c, system, nv)
+                 for y_c, g_c in zip(np.split(y, cuts), np.split(gains, cuts))]
+        assert np.array_equal(whole, np.concatenate(parts))
+        if size == 1:
+            assert set(redone) == {2}
 
 
 def random_tree_graph(rng, n_resources, n_active, n_layers):
@@ -1147,6 +1227,22 @@ def test_warm_calls_reuse_the_workspace(engine, scheme, mode, trials):
 
     cold, *warm = in_fresh_thread(peaks)
     assert max(warm) < cold / 2
+
+
+def test_map_workspace_holds_one_slab():
+    # the joint weights of a 128-trial 4pt J=6 slice (4 MB in all) are built
+    # one slab of the first layer axis at a time, so the workspace of a
+    # thread that has run warm map calls holds one 1 MB slab, not the table
+    system = build_named_system("4pt", 4, 2, 6, 4)
+    y, gains, nv = random_batch(system, 8.0, np.random.default_rng(90), "uplink_rayleigh", 128)
+
+    def held():
+        for _ in range(2):
+            batch_map(y, gains, system, nv)
+        with mpa_detector._workspace() as work:
+            return sum(buf.nbytes for buf in work.buffers.values())
+
+    assert 4**5 * 128 * 8 <= in_fresh_thread(held) < 2 * 10**6
 
 
 def test_engines_on_two_threads_give_the_serial_bits():
