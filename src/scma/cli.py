@@ -132,12 +132,12 @@ def _cmd_analyze(args) -> int:
     print(f"projections_per_dim {metrics.projections}")
     print(f"dim_power           {tuple(round(p, 6) for p in metrics.dim_power)}")
     print(f"dim_power_spread    {metrics.dim_power_spread:.6f}")
-    print("detector hypotheses per resource (plain / collapsed / split):")
+    print("detector hypotheses per resource (plain / mpa / collapsed / split):")
     for k, d in enumerate(report.degrees):
         split = "-" if report.split is None else str(report.split[k])
         print(
             f"  resource {k}: degree {d}  "
-            f"{report.plain[k]} / {report.collapsed[k]} / {split}"
+            f"{report.plain[k]} / {report.mpa[k]} / {report.collapsed[k]} / {split}"
         )
     return 0
 

@@ -62,11 +62,12 @@ class DetectionResult:
 @dataclass(frozen=True)
 class ComplexityReport:
     """Per-resource hypothesis counts: `plain` counts symbol combinations,
-    which `mpa` enumerates only without exact repeats (see batch_mpa);
-    `collapsed` and `split` count the table entries those engines build."""
+    M**degree; `mpa`, `collapsed` and `split` count the table entries one
+    trial of those engines builds (plain `mpa` merges exact repeats only)."""
 
     degrees: tuple[int, ...]
     plain: tuple[int, ...]
+    mpa: tuple[int, ...]
     collapsed: tuple[int, ...]
     split: tuple[int, ...] | None  # None when the system is not separable
 
@@ -248,16 +249,16 @@ def _run_mpa(y, gains, edges, columns, res_edges, lay_edges, alphabet, noise_var
 
     y is (K, T) and gains (T, J, K), both real or complex; columns[e] is
     the (values, index) pair of edge e = (k, j): its A_e values and each
-    symbol's value. This is the one place the channel is folded in: edge
-    e's (A_e, T) table is gains[:, j, k] * values. An index that maps each
-    symbol to its own value, in order, counts as none. Otherwise the tables
-    are built and contracted over the values, a message is summed onto them
-    on its way into a resource, and the value's output is copied back to
-    its symbols. Messages are (E, alphabet, T); lay_edges holds each
-    layer's N edges. The edge values, the tables, the three message arrays
-    and the layer update's gather are buffers of the _Workspace `work`; a
-    new message is normalised and damped in place in `out`, which then
-    trades places with the old one.
+    symbol's value. Every MPA engine folds the channel in here (batch_map
+    per symbol, on its own): edge e's (A_e, T) table is gains[:, j, k] *
+    values. An index that maps each symbol to its own value, in order,
+    counts as none. Otherwise the tables are built and contracted over the
+    values, a message is summed onto them on its way into a resource, and
+    the value's output is copied back to its symbols. Messages are (E,
+    alphabet, T); lay_edges holds each layer's N edges. The edge values,
+    the tables, the three message arrays and the layer update's gather are
+    buffers of the _Workspace `work`; a new message is normalised and
+    damped in place in `out`, which then trades places with the old one.
     """
     t_count = y.shape[-1]
     shape = (len(edges), alphabet, t_count)
@@ -614,12 +615,13 @@ def has_rounded_repeats(system: ScmaSystem, split: bool = False) -> bool:
 
 
 def complexity_report(system: ScmaSystem) -> ComplexityReport:
-    """Hypothesis counts per resource for plain, collapsed and split MPA
-    (see ComplexityReport); collapsed merges within PROJECTION_MERGE_TOL."""
+    """Hypothesis counts per resource of every MPA engine (see
+    ComplexityReport); collapsed merges within PROJECTION_MERGE_TOL."""
     edges, res_edges, _ = _edges(system)
     degrees = tuple(int(d) for d in system.graph.degrees)
     plain = tuple(system.alphabet_size**d for d in degrees)
+    mpa = _entries(_passes(system, edges), res_edges)
     collapsed = _entries(_passes(system, edges, PROJECTION_MERGE_TOL), res_edges)
     split = (_entries(_passes(system, edges, split=True), res_edges)
              if system.is_separable else None)
-    return ComplexityReport(degrees, plain, collapsed, split)
+    return ComplexityReport(degrees, plain, mpa, collapsed, split)

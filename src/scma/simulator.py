@@ -32,9 +32,8 @@ from .channel_model import (
     superpose,
 )
 from .codebook import ScmaSystem, build_named_system
-from .constellation import PROJECTION_MERGE_TOL
 from .mpa_detector import (
-    _edges, _entries, _passes, batch_map, batch_mpa, batch_split, collapse_projections,
+    batch_map, batch_mpa, batch_split, collapse_projections, complexity_report,
 )
 
 __all__ = [
@@ -157,20 +156,26 @@ def wilson_halfwidth(errors: int, trials: int, z: float = WILSON_Z) -> float:
     return (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
 
 
-def _detect(engine, y, gains, system, noise_var, max_iter, damping, tables):
-    if engine in ("mpa", "mpa_collapsed"):
-        return batch_mpa(y, gains, system, noise_var, max_iter, damping, tables)
-    if engine == "split":
-        return batch_split(y, gains, system, noise_var, max_iter)
-    if engine == "map_oracle":
-        return batch_map(y, gains, system, noise_var)
-    raise ValueError(f"engine must be one of {ENGINES}")
+def _detector(system: ScmaSystem, config: SimConfig):
+    """The engine's window call detect(y, gains, noise_var) and the table
+    entries it builds per trial, as complexity_report counts them (M**J for
+    map_oracle). detect looks the batch engine up in this module when it
+    runs, so a wrapper put over it after import sees every call."""
+    it, damping = config.max_iter, config.damping
+    if config.engine == "map_oracle":
+        return (lambda y, g, nv: batch_map(y, g, system, nv)), system.alphabet_size**system.n_layers
+    report = complexity_report(system)
+    if config.engine == "split":
+        return (lambda y, g, nv: batch_split(y, g, system, nv, it)), sum(report.split)
+    tables = collapse_projections(system) if config.engine == "mpa_collapsed" else None
+    counts = report.mpa if tables is None else report.collapsed
+    return (lambda y, g, nv: batch_mpa(y, g, system, nv, it, damping, tables)), sum(counts)
 
 
 def _run_block(system, config, noise_var, point_index, blocks, consts):
     """Simulate the seeded blocks `blocks` with one detector call; returns
     (trials, sym_errors, bit_errors) of each block, in block order."""
-    weights, popcount, codebook, tables = consts
+    weights, popcount, codebook, detect = consts
     j, k = system.n_layers, system.n_resources
     layers = np.arange(j)
     sizes, parts = [], []
@@ -188,28 +193,13 @@ def _run_block(system, config, noise_var, point_index, blocks, consts):
         parts.append((tx_labels, tx_sym, gains, y))
     tx_labels, tx_sym, gains, y = (np.concatenate(a) for a in zip(*parts))
     del parts  # free the per-block arrays before the detector allocates its tables
-    marginals = _detect(
-        config.engine, y, gains, system, noise_var,
-        config.max_iter, config.damping, tables,
-    )
+    marginals = detect(y, gains, noise_var)
     hard = marginals.argmax(axis=2)
     sym_errors = (hard != tx_sym).sum(axis=1)
     bit_errors = popcount[system.mother.labels[hard] ^ tx_labels].sum(axis=1)
     starts = np.cumsum([0] + sizes[:-1])
     per_block = (np.add.reduceat(e, starts).tolist() for e in (sym_errors, bit_errors))
     return list(zip(sizes, *per_block))
-
-
-def _entries_per_trial(system: ScmaSystem, engine: str) -> int:
-    """Likelihood-table entries the engine builds for one trial: the joint
-    table of `map_oracle`, else the MPA passes' tables as batch_mpa and
-    batch_split build them, merged within PROJECTION_MERGE_TOL for
-    `mpa_collapsed` and only where exactly equal otherwise."""
-    if engine == "map_oracle":
-        return system.alphabet_size**system.n_layers
-    edges, res_edges, _ = _edges(system)
-    tol = PROJECTION_MERGE_TOL if engine == "mpa_collapsed" else 0.0
-    return sum(_entries(_passes(system, edges, tol, engine == "split"), res_edges))
 
 
 def run_point(
@@ -227,22 +217,19 @@ def run_point(
     """
     _check_system(system, config)
     noise = snr_to_noise_variance(snr_db, system, config.snr_convention)
-    tables = (
-        collapse_projections(system) if config.engine == "mpa_collapsed" else None
-    )
+    detect, entries_per_trial = _detector(system, config)
     bits = system.mother.bits_per_symbol
     consts = (
         1 << np.arange(bits - 1, -1, -1, dtype=np.int64),
         np.array([bin(v).count("1") for v in range(1 << bits)], dtype=np.int64),
         np.stack([cb.codewords for cb in system.codebooks]),
-        tables,
+        detect,
     )
     start = time.perf_counter()
     trials = sym_errors = bit_errors = 0
 
     n_blocks = math.ceil(config.max_trials / BLOCK_TRIALS)
-    entries = BLOCK_TRIALS * _entries_per_trial(system, config.engine)
-    cap = max(1, MAX_WINDOW_ENTRIES // entries)
+    cap = max(1, MAX_WINDOW_ENTRIES // (BLOCK_TRIALS * entries_per_trial))
     pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
     in_flight = 2 * config.workers if pool else 1
     pending = deque()

@@ -75,9 +75,10 @@ def test_design_validates_scheme_alphabet(tmp_path, capsys):
 
 def test_analyze_prints_metrics(tmp_path, capsys):
     out = tmp_path / "sys.json"
-    # at J=2 the design is separable, and split builds 3 + 3 entries per resource
-    for layers, counts, overloading in (("6", "4096 / 729 / -", "1.50"),
-                                        ("2", "16 / 9 / 6", "0.50")):
+    # plain mpa builds the 9 exact projections per edge, as collapsed does; at
+    # J=2 the design is separable, and split builds 3 + 3 entries per resource
+    for layers, counts, overloading in (("6", "4096 / 729 / 729 / -", "1.50"),
+                                        ("2", "16 / 9 / 9 / 6", "0.50")):
         main(["design", "--scheme", "lowproj", "--m", "16", "--j", layers, "--out", str(out)])
         capsys.readouterr()
         assert main(["analyze", str(out)]) == 0

@@ -969,6 +969,7 @@ def test_complexity_plain_counts():
 def test_complexity_collapsed_lowproj():
     report = complexity_report(build_named_system("lowproj", 4, 2, 6, 16))
     assert report.plain == (4096,) * 4
+    assert report.mpa == (729,) * 4  # the exact projections: plain mpa merges them
     assert report.collapsed == (729,) * 4
 
 
@@ -1103,17 +1104,16 @@ def test_batch_split_matches_single_shot():
 
 
 def test_batch_engines_reject_tables_over_the_cap(monkeypatch):
-    # the check counts one trial's entries over every resource table; the
-    # identity-phase T16 and lowproj systems are separable, so split
-    # detection runs on them, and plain mpa builds the exact lowproj
-    # projections, which the collapsed count holds
-    for system, plain in ((identity_phase_system(), "plain"),
-                          (identity_phase_system(6, low_projection_16point()), "collapsed")):
+    # the check counts one trial's entries over every resource table, as
+    # complexity_report does; the identity-phase T16 and lowproj systems are
+    # separable, so split detection runs on them, and plain mpa builds the
+    # exact lowproj projections
+    for system in (identity_phase_system(), identity_phase_system(6, low_projection_16point())):
         tables = collapse_projections(system)
         report = complexity_report(system)
         y, gains, nv = random_batch(system, 8.0, np.random.default_rng(90), "awgn", 3)
         for run, counts in (
-            (lambda: batch_mpa(y, gains, system, nv, 2), getattr(report, plain)),
+            (lambda: batch_mpa(y, gains, system, nv, 2), report.mpa),
             (lambda: batch_mpa(y, gains, system, nv, 2, 0.0, tables), report.collapsed),
             (lambda: batch_split(y, gains, system, nv, 2), report.split),
         ):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from scma import simulator
 from scma.channel_model import sample_gains, sample_noise, superpose
-from scma.mpa_detector import collapse_projections
 from scma.simulator import (
     EXPERIMENTS,
     MAX_WORKERS,
@@ -261,15 +260,19 @@ def test_split_engine_matches_mpa():
 
 
 def record_calls(monkeypatch):
-    """Trials of every detector call run_point makes, in call order."""
-    detect = simulator._detect
+    """Trials of every detector call run_point makes, in call order, recorded
+    through the module attributes batch_mpa, batch_split and batch_map, the
+    seam a tracer wraps after import."""
     sizes = []
 
-    def recorded(engine, y, *args):
-        sizes.append(y.shape[0])
-        return detect(engine, y, *args)
+    def recorder(engine):
+        def recorded(y, *args):
+            sizes.append(y.shape[0])
+            return engine(y, *args)
+        return recorded
 
-    monkeypatch.setattr(simulator, "_detect", recorded)
+    for name in ("batch_mpa", "batch_split", "batch_map"):
+        monkeypatch.setattr(simulator, name, recorder(getattr(simulator, name)))
     return sizes
 
 
@@ -301,6 +304,26 @@ def test_windows_do_not_change_points(monkeypatch, case, workers):
     assert windowed.points == blockwise.points
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_collapsed_sweep_collapses_projections_once_per_point(monkeypatch, workers):
+    # the tracer wraps simulator.collapse_projections too: one call per point,
+    # however many windows the point runs
+    collapse, systems = simulator.collapse_projections, []
+
+    def recorded(system):
+        systems.append(system)
+        return collapse(system)
+
+    monkeypatch.setattr(simulator, "collapse_projections", recorded)
+    sizes = record_calls(monkeypatch)
+    config = small_config(design="lowproj", M=16, engine="mpa_collapsed",
+                          snr_grid_db=(14.0, 16.0, 18.0), min_errors=500, max_trials=512,
+                          workers=workers)
+    run_sweep(config)
+    assert len(sizes) > 3
+    assert len(systems) == 3
+
+
 # 16-symbol messages, collapsed edges summing several symbols each, and
 # batch_map slices of 8 trials
 EXTRA_CASES = [
@@ -318,7 +341,6 @@ def test_detectors_give_same_marginals_on_concatenated_blocks(case):
     # windows rely on every engine treating trials independently, bit for bit
     config = small_config(**case)
     system = config.build_system()
-    tables = collapse_projections(system) if config.engine == "mpa_collapsed" else None
     rng = np.random.default_rng(11)
     blocks = []
     # a lone trial and 129 trials leave the kernels' last (trial) axis
@@ -331,35 +353,50 @@ def test_detectors_give_same_marginals_on_concatenated_blocks(case):
         gains = sample_gains("awgn", config.J, config.K, rng, size=size)
         blocks.append((superpose(cw, gains, sample_noise(0.2, config.K, rng, size)), gains))
 
-    def detect(y, gains):
-        return simulator._detect(config.engine, y, gains, system, 0.2, 8, 0.0, tables)
+    detect = simulator._detector(system, config)[0]
+    whole = detect(*(np.concatenate(a) for a in zip(*blocks)), 0.2)
+    assert np.array_equal(whole, np.concatenate([detect(y, g, 0.2) for y, g in blocks]))
 
-    whole = detect(*(np.concatenate(a) for a in zip(*blocks)))
-    assert np.array_equal(whole, np.concatenate([detect(y, g) for y, g in blocks]))
+
+def entries_per_trial(system, engine):
+    config = SimConfig(K=system.n_resources, N=system.n_active, J=system.n_layers,
+                       M=system.alphabet_size, engine=engine)
+    return simulator._detector(system, config)[1]
 
 
 def test_split_windows_count_the_entries_split_builds():
-    # each lowproj half shows 3 values per dimension: 3 + 3 per resource
+    # each lowproj half shows 3 values per dimension: 3 + 3 per resource, and
+    # the 4-point map oracle builds the joint table
     from scma.codebook import build_named_system
 
     system = build_named_system("lowproj", 4, 2, 2, 16)
-    assert simulator._entries_per_trial(system, "split") == 4 * (3 + 3)
+    assert entries_per_trial(system, "split") == 4 * (3 + 3)
+    system = build_named_system("4pt", 4, 2, 6, 4)
+    assert entries_per_trial(system, "map_oracle") == 4**6
 
 
-@pytest.mark.parametrize("n_layers,built,collapsed", [(4, 4 * 16**2, 4 * 9**2), (2, 4 * 16, 4 * 9)])
-def test_mpa_windows_count_the_entries_mpa_builds(n_layers, built, collapsed):
+@pytest.mark.parametrize("design,n_layers,built,collapsed", [
+    pytest.param("rotated", 4, 4 * 16**2, 4 * 9**2, id="4-1024-324"),
+    pytest.param("rotated", 2, 4 * 16, 4 * 9, id="2-64-36"),
+    pytest.param("4pt", 6, 4 * 4**3, 4 * 4**3, id="4pt-6-256-256"),
+])
+def test_mpa_windows_count_the_entries_mpa_builds(design, n_layers, built, collapsed):
     # the plain rotation's projections differ only by rounding, so plain mpa
-    # builds over all 16 values per edge, and only mpa_collapsed over 9
-    from scma.codebook import build_system
+    # builds over all 16 values per edge, and only mpa_collapsed over 9; no
+    # 4-point edge repeats a value, so both build the symbol combinations
+    from scma.codebook import build_named_system, build_system
     from scma.constellation import (
         base_lattice, optimize_rotation_projections, rotate, shuffle_construct,
     )
 
-    _, r = optimize_rotation_projections(base_lattice(2, 4), 9)
-    u = rotate(base_lattice(2, 4), r)
-    system = build_system(4, 2, n_layers, shuffle_construct(u, u))
-    assert simulator._entries_per_trial(system, "mpa") == built
-    assert simulator._entries_per_trial(system, "mpa_collapsed") == collapsed
+    if design == "rotated":
+        _, r = optimize_rotation_projections(base_lattice(2, 4), 9)
+        u = rotate(base_lattice(2, 4), r)
+        system = build_system(4, 2, n_layers, shuffle_construct(u, u))
+    else:
+        system = build_named_system(design, 4, 2, n_layers, 4)
+    assert entries_per_trial(system, "mpa") == built
+    assert entries_per_trial(system, "mpa_collapsed") == collapsed
 
 
 CAPPED_CASES = [
