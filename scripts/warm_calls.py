@@ -16,7 +16,8 @@ per call its wall time and the minor page faults it took (from
 * lowproj J=2 `split`, 128 AWGN trials.
 
 Per row and tree it prints the median and quartiles over rounds of each
-process's median warm call (ms) and median warm faults, and the rounds
+process's median warm call (ms) and median warm faults (to one decimal:
+a median over an even number of calls can end in .5), and the rounds
 in which NEW_SRC's warm call was faster. Two copies of one tree should
 read as a tie on every row: NEW_SRC wins 40-60% of the rounds, and each
 median lies within the other tree's quartiles. With two copies every
@@ -148,8 +149,8 @@ def main() -> None:
     for name, row in summary.items():
         print(f"{name:38} {row['old_warm_ms']['median']:8.2f} "
               f"{row['new_warm_ms']['median']:8.2f} {row['new_vs_old_pct']:+6.1f}% "
-              f"{row['new_wins']:>6} {row['old_warm_faults']['median']:8.0f} "
-              f"{row['new_warm_faults']['median']:8.0f}  {row['tie']}")
+              f"{row['new_wins']:>6} {row['old_warm_faults']['median']:8.1f} "
+              f"{row['new_warm_faults']['median']:8.1f}  {row['tie']}")
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"command": " ".join(sys.argv), "warm_calls_per_process": WARM,

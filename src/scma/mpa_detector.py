@@ -54,7 +54,9 @@ class DetectionResult:
     """Per-layer posteriors and the decisions read off them."""
 
     marginals: np.ndarray  # (J, M), rows sum to 1
-    hard_symbols: np.ndarray  # (J,) argmax indices, ties -> lowest index
+    # (J,) argmax indices: an exact tie in the computed marginals goes to the lowest
+    # index, but hypotheses that tie only in exact arithmetic can split by rounding
+    hard_symbols: np.ndarray
     bits: np.ndarray  # (J, log2 M) decoded label bits, MSB first
     iterations_run: int
 
@@ -174,7 +176,7 @@ def _damped(new: np.ndarray, old: np.ndarray, damping: float) -> np.ndarray:
     return new
 
 
-def _resource_tables(y, edge_values, res_edges, noise_var, work=None):
+def _resource_tables(y, edge_values, res_edges, noise_var, work):
     """Per resource, yield the log table -(|y_k - s|^2 - min_s |y_k - s|^2) /
     noise_var over every sum s of its edges' values, or None without edges.
     The energy is shifted by its trial's best before the division, and
@@ -185,14 +187,13 @@ def _resource_tables(y, edge_values, res_edges, noise_var, work=None):
     no imaginary part when the residuals and values are real. A table is a
     C-ordered (rows, columns, T) array: rows over the value combinations of
     every edge but the last, columns over the last edge's values. The
-    tables lie side by side in one buffer of `work` (a _Workspace; fresh
-    buffers without it), and the residuals and the imaginary part in
-    scratch buffers; a caller uses each table, in cache, before the next.
+    tables lie side by side in one buffer of the _Workspace `work`, and the
+    residuals and the imaginary part in scratch buffers; a caller uses each
+    table, in cache, before the next.
     """
     t_count = y.shape[-1]
     sizes = [math.prod(len(edge_values[e]) for e in es) * t_count if es else 0
              for es in res_edges]
-    work = _Workspace() if work is None else work
     tables = work.get("tables", (sum(sizes),))
     limit = float(noise_var) * (np.finfo(np.float64).max / (2 * len(res_edges)))
     offset = 0
@@ -306,13 +307,15 @@ def _run_mpa(y, gains, edges, columns, res_edges, lay_edges, alphabet, noise_var
 # public batched engines (leading trial axis)
 
 
-def _trial_slices(body, y, gains, system, step: int) -> np.ndarray:
-    """(T, J, M) marginals of an engine whose body(y, gains) maps the (K, T)
-    received values and (T, J, K) gains of a slice of at most `step` trials
-    to their (J, M, T) marginals; `step` comes from _check_table_entries, so
-    a slice's tables hold at most MAX_SLICE_ENTRIES entries, or one trial's.
-    y (one trial may be 1-D) and gains must match the system's shape and be
-    finite.
+def _trial_slices(body, y, gains, system, counts) -> np.ndarray:
+    """(T, J, M) marginals of an engine whose body(y, gains, work) maps the
+    (K, T) received values and (T, J, K) gains of a slice of trials to
+    their (J, M, T) marginals, on the calling thread's workspace `work`,
+    borrowed once for the whole call. `counts` are the table entries the
+    engine builds per trial: a trial over MAX_JOINT_HYPOTHESES is rejected
+    before any is built, and a slice's tables hold at most
+    MAX_SLICE_ENTRIES entries, or one trial's. y (one trial may be 1-D) and
+    gains must match the system's shape and be finite.
 
     numpy runs a body's sums with the trial axis innermost, so a trial's
     terms add in axis order and get the same bits at any call size; a lone
@@ -321,6 +324,13 @@ def _trial_slices(body, y, gains, system, step: int) -> np.ndarray:
     exceed the cap). The result is a fresh C-ordered array, so that a
     caller's sums over M run along M at any call size.
     """
+    total = sum(counts)
+    if total > MAX_JOINT_HYPOTHESES:
+        raise ValueError(
+            f"one trial's likelihood tables hold {total} entries, "
+            f"over the cap {MAX_JOINT_HYPOTHESES}"
+        )
+    step = max(1, MAX_SLICE_ENTRIES // total)
     y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
     gains = np.asarray(gains, dtype=np.complex128)
     if not len(y):
@@ -335,12 +345,13 @@ def _trial_slices(body, y, gains, system, step: int) -> np.ndarray:
     if not (np.isfinite(y).all() and np.isfinite(gains).all()):
         raise ValueError("y and gains must be finite")
     marginals = np.empty((len(y), j_count, system.alphabet_size))
-    for lo in range(0, len(y), step):
-        y_s, g_s = y[lo : lo + step], gains[lo : lo + step]
-        n = len(y_s)
-        if n == 1 < step:
-            y_s, g_s = y_s[[0, 0]], g_s[[0, 0]]
-        marginals[lo : lo + n] = body(y_s.T, g_s)[..., :n].transpose(2, 0, 1)
+    with _workspace() as work:
+        for lo in range(0, len(y), step):
+            y_s, g_s = y[lo : lo + step], gains[lo : lo + step]
+            n = len(y_s)
+            if n == 1 < step:
+                y_s, g_s = y_s[[0, 0]], g_s[[0, 0]]
+            marginals[lo : lo + n] = body(y_s.T, g_s, work)[..., :n].transpose(2, 0, 1)
     return marginals
 
 
@@ -365,13 +376,11 @@ def batch_mpa(
     _check_detect_args(noise_var, max_iter, damping)
     edges, res_edges, lay_edges = _edges(system)
     passes = _passes(system, edges) if tables is None else [[tables[e] for e in edges]]
-    step = _check_table_entries(_entries(passes, res_edges))
-    with _workspace() as work:
-        return _trial_slices(
-            lambda y, gains: _run_mpa(y, gains, edges, passes[0], res_edges, lay_edges,
-                                      system.alphabet_size, noise_var, max_iter, damping, work),
-            y, gains, system, step,
-        )
+    return _trial_slices(
+        lambda y, gains, work: _run_mpa(y, gains, edges, passes[0], res_edges, lay_edges,
+                                        system.alphabet_size, noise_var, max_iter, damping, work),
+        y, gains, system, _entries(passes, res_edges),
+    )
 
 
 def _joint_marginals(terms, combine, work, shift=False) -> np.ndarray:
@@ -438,12 +447,12 @@ def batch_map(
     float; _joint_marginals multiplies them one slab at a time. A trial
     whose weights sum below M**J * exp(cut) * 2**60 may have lost mass to
     flushed factors, so it is recomputed from the log terms; a lone such
-    trial runs as two copies, as in _trial_slices. Trials are sliced to keep
-    the joint table within MAX_SLICE_ENTRIES entries, or one trial's.
+    trial runs as two copies, as in _trial_slices, which caps a trial's
+    joint table at MAX_JOINT_HYPOTHESES entries and a slice's at
+    MAX_SLICE_ENTRIES, or one trial's.
     """
     _check_detect_args(noise_var, 1, 0.0)
     m, j_count = system.alphabet_size, system.n_layers
-    step = _check_table_entries([m**j_count])
     edges, res_edges, _ = _edges(system)
     # each resource's table on its layers' axes, which _edges lists ascending
     shapes = [[m if j in system.graph.layers_at(k) else 1 for j in range(j_count)]
@@ -451,25 +460,25 @@ def batch_map(
     cut = max(EXP_FLUSH_ARG, math.ceil(LOG_TINY / sum(map(bool, res_edges))))
     floor = m**j_count * math.exp(cut) * 2.0**60
 
-    def log_terms(y, gains):
+    def log_terms(y, gains, work):
         edge_values = [system.codebooks[j].codewords[:, k, None] * gains[:, j, k]
                        for k, j in edges]
         tables = _resource_tables(y, edge_values, res_edges, noise_var, work)
         return [t.reshape(shape + [y.shape[1]])
                 for shape, t in zip(shapes, tables) if t is not None]
 
-    def body(y, gains):
-        factors = [_exp_flushed(t, cut) for t in log_terms(y, gains)]
+    def body(y, gains, work):
+        factors = [_exp_flushed(t, cut) for t in log_terms(y, gains, work)]
         marginals = _joint_marginals(factors, np.multiply, work)
         redo = np.flatnonzero(marginals[0].sum(axis=0) < floor)
         if len(redo):
             run = redo[[0, 0]] if len(redo) == 1 < y.shape[1] else redo  # a lone trial twice
-            exact = _joint_marginals(log_terms(y[:, run], gains[run]), np.add, work, shift=True)
+            exact = _joint_marginals(log_terms(y[:, run], gains[run], work), np.add, work,
+                                     shift=True)
             marginals[..., redo] = exact[..., : len(redo)]
         return marginals
 
-    with _workspace() as work:
-        marginals = _trial_slices(body, y, gains, system, step)
+    marginals = _trial_slices(body, y, gains, system, [m**j_count])
     return marginals / marginals.sum(axis=2, keepdims=True)
 
 
@@ -495,9 +504,8 @@ def batch_split(
         raise ValueError("split detection needs a separable mother and +-1 phases")
     edges, res_edges, lay_edges = _edges(system)
     passes = _passes(system, edges, split=True)
-    step = _check_table_entries(_entries(passes, res_edges))
 
-    def body(y, gains):
+    def body(y, gains, work):
         if np.abs(gains.imag).max() > 1e-12:
             raise ValueError("split detection needs real channel gains")
         marg_re, marg_im = (
@@ -508,8 +516,7 @@ def batch_split(
         combined = marg_re[:, :, None] * marg_im[:, None]
         return _normalise(combined.reshape(system.n_layers, -1, y.shape[1]))
 
-    with _workspace() as work:
-        return _trial_slices(body, y, gains, system, step)
+    return _trial_slices(body, y, gains, system, _entries(passes, res_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +530,6 @@ def _check_detect_args(noise_var: float, max_iter: int, damping: float) -> None:
         raise ValueError("max_iter must be at least 1")
     if not 0.0 <= damping < 1.0:
         raise ValueError("damping must lie in [0, 1)")
-
-
-def _check_table_entries(counts) -> int:
-    """Reject a system whose likelihood tables hold more than
-    MAX_JOINT_HYPOTHESES entries for one trial, before any is built; return
-    the trials per slice that keep a slice's tables within MAX_SLICE_ENTRIES
-    (at least one)."""
-    total = sum(counts)
-    if total > MAX_JOINT_HYPOTHESES:
-        raise ValueError(
-            f"one trial's likelihood tables hold {total} entries, "
-            f"over the cap {MAX_JOINT_HYPOTHESES}"
-        )
-    return max(1, MAX_SLICE_ENTRIES // total)
 
 
 def _label_bits(labels: np.ndarray, n_bits: int) -> np.ndarray:

@@ -402,13 +402,14 @@ def test_distinct_value_tables_equal_tables_over_every_symbol(trials):
     distinct = [merge_values(col, 0.0) for col in columns]
     assert all(len(vals) == 9 for vals, _ in distinct)
     y_t = np.ascontiguousarray(y.T)
+    # the two generators are live at once, so each builds in its own workspace
     full = mpa_detector._resource_tables(
         y_t, [gains[:, j, k] * col[:, None] for (k, j), col in zip(edges, columns)],
-        res_edges, nv,
+        res_edges, nv, mpa_detector._Workspace(),
     )
     tables = mpa_detector._resource_tables(
         y_t, [gains[:, j, k] * vals[:, None] for (k, j), (vals, _) in zip(edges, distinct)],
-        res_edges, nv,
+        res_edges, nv, mpa_detector._Workspace(),
     )
     for table, symbol_table, es in zip(tables, full, res_edges):
         assert table.shape == (81, 9, trials) and symbol_table.shape == (256, 16, trials)
@@ -667,7 +668,9 @@ def test_trial_slices_stay_within_the_entry_cap(monkeypatch, scheme, n_layers, e
     slices = mpa_detector._trial_slices
 
     def recording(body, *args):
-        return slices(lambda y_s, g_s: sizes.append(y_s.shape[1]) or body(y_s, g_s), *args)
+        return slices(
+            lambda y_s, g_s, work: sizes.append(y_s.shape[1]) or body(y_s, g_s, work), *args
+        )
 
     monkeypatch.setattr(mpa_detector, "_trial_slices", recording)
     whole = engine(y, gains, system, nv)
@@ -1105,9 +1108,9 @@ def test_batch_split_matches_single_shot():
 
 def test_batch_engines_reject_tables_over_the_cap(monkeypatch):
     # the check counts one trial's entries over every resource table, as
-    # complexity_report does; the identity-phase T16 and lowproj systems are
-    # separable, so split detection runs on them, and plain mpa builds the
-    # exact lowproj projections
+    # complexity_report does (map: its M**J joint table); the identity-phase
+    # T16 and lowproj systems are separable, so split detection runs on
+    # them, and plain mpa builds the exact lowproj projections
     for system in (identity_phase_system(), identity_phase_system(6, low_projection_16point())):
         tables = collapse_projections(system)
         report = complexity_report(system)
@@ -1122,6 +1125,14 @@ def test_batch_engines_reject_tables_over_the_cap(monkeypatch):
             monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", sum(counts) - 1)
             with pytest.raises(ValueError, match="likelihood tables hold"):
                 run()
+    # map's joint table: 16**4 = 65536 entries on the four-layer T16 system
+    system = identity_phase_system(4)
+    y, gains, nv = random_batch(system, 8.0, np.random.default_rng(91), "awgn", 3)
+    monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", 16**4)
+    assert batch_map(y, gains, system, nv).shape == (3, 4, 16)
+    monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", 16**4 - 1)
+    with pytest.raises(ValueError, match="likelihood tables hold"):
+        batch_map(y, gains, system, nv)
 
 
 @pytest.mark.parametrize("engine", [batch_mpa, batch_map, batch_split])
