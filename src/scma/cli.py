@@ -10,7 +10,7 @@ import sys
 
 from .codebook import SCHEMES, build_named_system
 from .constellation import measure
-from .mpa_detector import complexity_report, has_rounded_repeats
+from .mpa_detector import complexity_report
 from .simulator import (
     EXPERIMENTS,
     SimConfig,
@@ -162,13 +162,6 @@ def _cmd_simulate(args) -> int:
         engine=ENGINE_FLAGS[args.engine],
         workers=args.workers,
     )
-    if args.engine in ("mpa", "split") and has_rounded_repeats(system, args.engine == "split"):
-        print(
-            f"note: {args.system} holds codeword values that differ by rounding only, "
-            f"so {args.engine} computes a likelihood for each; re-run `scma design` "
-            "to save exact values",
-            file=sys.stderr,
-        )
     result = run_sweep(config, system)
     write_csv(result, args.out)
     for p in result.points:

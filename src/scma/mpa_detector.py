@@ -9,6 +9,7 @@ variant and a real/imaginary split variant share its machinery.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ __all__ = [
     "split_detect",
     "collapse_projections",
     "complexity_report",
-    "has_rounded_repeats",
     "batch_mpa",
     "batch_map",
     "batch_split",
@@ -195,7 +195,8 @@ def _resource_tables(y, edge_values, res_edges, noise_var, work):
     sizes = [math.prod(len(edge_values[e]) for e in es) * t_count if es else 0
              for es in res_edges]
     tables = work.get("tables", (sum(sizes),))
-    limit = float(noise_var) * (np.finfo(np.float64).max / (2 * len(res_edges)))
+    # Python floats: above noise_var 2K the product is inf, with no overflow warning
+    limit = float(noise_var) * (float(np.finfo(np.float64).max) / (2 * len(res_edges)))
     offset = 0
     for k, (es, size) in enumerate(zip(res_edges, sizes)):
         if not es:
@@ -526,6 +527,8 @@ def batch_split(
 def _check_detect_args(noise_var: float, max_iter: int, damping: float) -> None:
     if not (math.isfinite(noise_var) and noise_var > 0):
         raise ValueError("noise_var must be finite and positive")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not 0.0 <= damping < 1.0:
@@ -592,19 +595,6 @@ def collapse_projections(system: ScmaSystem) -> dict:
     be aggregated."""
     edges = _edges(system)[0]
     return dict(zip(edges, _passes(system, edges, PROJECTION_MERGE_TOL)[0]))
-
-
-def has_rounded_repeats(system: ScmaSystem, split: bool = False) -> bool:
-    """True when some edge of plain (or split) MPA holds values that differ
-    by no more than PROJECTION_MERGE_TOL but not exactly: the detector then
-    builds a likelihood for each of them where one would do. A lowproj file
-    saved before its projections were made exact is such a system."""
-    if split and not system.is_separable:
-        return False  # split detection does not apply
-    edges, res_edges, _ = _edges(system)
-    # a merge only drops values, so unequal counts mean fewer merged ones
-    return (_entries(_passes(system, edges, PROJECTION_MERGE_TOL, split), res_edges)
-            != _entries(_passes(system, edges, 0.0, split), res_edges))
 
 
 def complexity_report(system: ScmaSystem) -> ComplexityReport:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -81,6 +82,10 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("K", "N", "J", "M", "seed", "min_errors", "max_trials", "max_iter", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # design is only an echo label for systems loaded from a file; it
         # must name one of SCHEMES when build_system is expected to work
         if not self.design:

@@ -262,12 +262,10 @@ def test_lowproj_simulate_cli_pinned_csv(tmp_path, monkeypatch, engine):
     assert Path("lp.csv").read_text() == golden.read_text()
 
 
-def test_simulate_notes_values_that_differ_by_rounding(tmp_path, capsys, monkeypatch):
+def test_simulate_runs_a_file_with_rounded_values(tmp_path, capsys, monkeypatch):
     # a lowproj file saved from the plain rotation holds codeword values up
-    # to 7.9e-16 apart: plain mpa notes once that it computes a likelihood
-    # for each; the exit code and CSV bytes stay as they were, and neither a
-    # fresh design nor mpa_collapsed, which merges them, gets a note
-    import scma.cli
+    # to 7.9e-16 apart: plain mpa builds a likelihood for each, and the run
+    # exits 0 and writes its CSV with no note on stderr
     from scma.codebook import build_system
     from scma.constellation import (
         base_lattice, optimize_rotation_projections, rotate, shuffle_construct,
@@ -278,22 +276,25 @@ def test_simulate_notes_values_that_differ_by_rounding(tmp_path, capsys, monkeyp
     _, r = optimize_rotation_projections(base_lattice(2, 4), 9)
     u = rotate(base_lattice(2, 4), r)
     save_system(build_system(4, 2, 6, shuffle_construct(u, u)), "rounded.json")
-    assert main(["design", "--scheme", "lowproj", "--m", "16", "--out", "exact.json"]) == 0
-    capsys.readouterr()
+    assert main(["simulate", "--system", "rounded.json", "--channel", "uplink",
+                 "--snr", "16", "--min-errors", "20", "--max-trials", "128",
+                 "--seed", "1", "--out", "rounded.csv"]) == 0
+    rows = [line for line in Path("rounded.csv").read_text().splitlines() if line[0] != "#"]
+    assert len(rows) == 2 and rows[1].startswith("16.0,128,")
+    assert not [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("note:")]
 
-    def notes(system, engine, out):
-        assert main(["simulate", "--system", system, "--engine", engine, "--channel", "uplink",
-                     "--snr", "16", "--min-errors", "20", "--max-trials", "128",
-                     "--seed", "1", "--out", out]) == 0
-        return [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
 
-    got = notes("rounded.json", "mpa", "noted.csv")
-    assert len(got) == 1 and "`scma design`" in got[0]
-    assert notes("exact.json", "mpa", "exact.csv") == []
-    assert notes("rounded.json", "mpa_collapsed", "collapsed.csv") == []
-    monkeypatch.setattr(scma.cli, "has_rounded_repeats", lambda *a: False)
-    assert notes("rounded.json", "mpa", "quiet.csv") == []
-    assert Path("noted.csv").read_bytes() == Path("quiet.csv").read_bytes()
+def test_simulate_at_a_noise_variance_above_2k(tmp_path, monkeypatch):
+    # at -16 dB per layer the 4-point system's noise variance passes 2K, so
+    # the clamp on each table's ratio passes max_float: the run neither
+    # warns nor fails (RuntimeWarnings are errors) and writes its row
+    monkeypatch.chdir(tmp_path)
+    assert main(["design", "--scheme", "4pt", "--out", "4pt.json"]) == 0
+    assert main(["simulate", "--system", "4pt.json", "--snr=-16", "--min-errors", "20",
+                 "--max-trials", "128", "--out", "low.csv"]) == 0
+    rows = [line for line in Path("low.csv").read_text().splitlines() if line[0] != "#"]
+    assert len(rows) == 2 and rows[1].startswith("-16.0,128,")
 
 
 def test_split_rejected_before_first_block(tmp_path, capsys, monkeypatch):

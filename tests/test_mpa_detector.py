@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,35 @@ def test_marginals_finite_under_noise_mismatch(ratio):
                  batch_map(y, gains, system, nv * ratio)):
         assert np.isfinite(marg).all()
         assert np.allclose(marg.sum(axis=2), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("engine", ["mpa", "mpa_collapsed", "map", "split"])
+def test_engines_finite_over_every_noise_variance(engine):
+    # ordinary y and gains, detected at noise variances across the float
+    # range: above 2K the clamp on a table's ratio passes max_float and must
+    # become inf without an overflow warning
+    rng = np.random.default_rng(91)
+    if engine == "split":
+        systems, modes = [identity_phase_system(4, low_projection_16point())], ["awgn"]
+    else:
+        systems = [build_named_system(*a) for a in
+                   (("4pt", 4, 2, 6, 4), ("lds", 4, 2, 6, 4), ("lowproj", 4, 2, 4, 16))]
+        modes = ["awgn", "uplink_rayleigh"]
+    for system in systems:
+        tables = collapse_projections(system) if engine == "mpa_collapsed" else None
+        for mode in modes:
+            y, gains, _ = random_batch(system, 8.0, rng, mode, 8)
+            for nv in np.logspace(-300, 300, 25):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    if engine == "map":
+                        marg = batch_map(y, gains, system, nv)
+                    elif engine == "split":
+                        marg = batch_split(y, gains.real, system, nv)
+                    else:
+                        marg = batch_mpa(y, gains, system, nv, tables=tables)
+                assert np.isfinite(marg).all()
+                assert np.allclose(marg.sum(axis=2), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -993,18 +1023,25 @@ def test_complexity_split_counts():
     assert no_split.split is None
 
 
-def test_has_rounded_repeats():
-    # a mother from the plain rotation holds values up to 7.9e-16 apart on
-    # both engines' edges; the exact lowproj mother holds none, and split
-    # does not apply to the 4-point system
-    _, r = optimize_rotation_projections(base_lattice(2, 4), 9)
-    u = rotate(base_lattice(2, 4), r)
-    rounded = identity_phase_system(6, shuffle_construct(u, u))
-    exact = identity_phase_system(6, low_projection_16point())
-    for split in (False, True):
-        assert mpa_detector.has_rounded_repeats(rounded, split)
-        assert not mpa_detector.has_rounded_repeats(exact, split)
-    assert not mpa_detector.has_rounded_repeats(build_named_system("4pt", 4, 2, 6, 4), True)
+@pytest.mark.parametrize(
+    "scheme,k,n,m",
+    [("4pt", 4, 2, 4), ("4pt", 5, 2, 4), ("t16", 4, 2, 16), ("t16", 5, 2, 16),
+     ("lowproj", 4, 2, 16), ("lowproj", 5, 2, 16), ("lds", 4, 2, 4), ("lds", 4, 2, 16),
+     ("lds", 5, 2, 4), ("lds", 5, 2, 16), ("lds", 6, 3, 4), ("lds", 6, 3, 16)],
+)
+def test_shipped_designs_hold_no_rounded_repeats(scheme, k, n, m):
+    # every system `scma design` builds stores merged values exactly, so
+    # plain mpa, which merges exact repeats only, builds the collapsed
+    # tables, and a separable mother's halves merge alike at both
+    # tolerances; only a hand-built or stale file can hold near-repeats
+    for j in range(1, math.comb(k, n) + 1):
+        system = build_named_system(scheme, k, n, j, m)
+        report = complexity_report(system)
+        assert report.mpa == report.collapsed
+        mother = system.mother
+        for part in (mother.real_points, mother.imag_points) if mother.is_separable else ():
+            for dim in part.T:
+                assert len(merge_values(dim, 0.0)[0]) == len(merge_values(dim)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from scma import simulator
 from scma.channel_model import sample_gains, sample_noise, superpose
+from scma.codebook import build_named_system
+from scma.mpa_detector import batch_mpa
 from scma.simulator import (
     EXPERIMENTS,
     MAX_WORKERS,
@@ -63,6 +65,7 @@ def test_wilson_interval_contains_empirical_rate(errors, extra):
 def test_config_validation():
     ok = dict(K=4, N=2, J=2, M=4, design="lds", snr_grid_db=(4.0,))
     SimConfig(**ok)
+    SimConfig(**{**ok, "K": np.int64(4), "seed": np.uint32(3)})  # numpy integers are integers
     with pytest.raises(ValueError):
         SimConfig(**{**ok, "snr_grid_db": ()})
     for bad in (float("nan"), float("inf"), -float("inf")):
@@ -97,6 +100,27 @@ def test_config_validation():
     for mode in ("downlink", "uplink_rayleigh"):
         with pytest.raises(ValueError):
             SimConfig(**{**ok, "engine": "split", "channel_mode": mode})
+
+
+@pytest.mark.parametrize(
+    "call,field",
+    [
+        (lambda: SimConfig(K=4.0), "K"),
+        (lambda: SimConfig(max_iter=2.5), "max_iter"),
+        (lambda: SimConfig(workers=1.5), "workers"),
+        (lambda: SimConfig(min_errors=10.5), "min_errors"),
+        (lambda: SimConfig(seed=True), "seed"),
+        (lambda: batch_mpa(np.zeros((1, 4), complex), np.ones((1, 6, 4), complex),
+                           build_named_system("4pt", 4, 2, 6, 4), 0.1, max_iter=2.5), "max_iter"),
+    ],
+    ids=["K", "max_iter", "workers", "min_errors", "seed", "batch_mpa-max_iter"],
+)
+def test_integer_fields_reject_non_integers(call, field):
+    # a float or a bool in an integer field fails at the boundary, naming
+    # the field, rather than deep inside a run or (workers, min_errors) not
+    # at all
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        call()
 
 
 def test_config_system_mismatch_detected():
