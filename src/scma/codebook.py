@@ -154,24 +154,13 @@ class ScmaSystem:
 def apply_operator(
     mother: MotherConstellation, op: LayerOperator
 ) -> MotherConstellation:
-    """Scale each complex dimension by the operator phase (and power scale).
-
-    Real +-1 phases keep the real/imaginary separable structure; complex
-    phases mix the axes, so the separable parts are dropped.
-    """
+    """Scale each complex dimension by the operator phase and the square
+    root of its power scale; the result holds the operated points and the
+    mother's labels only (build_codebook spreads them onto the resources)."""
     if op.n_dims != mother.n_dims:
         raise ValueError("operator and constellation dimension counts differ")
     factor = op.phases * math.sqrt(op.power_scale)
-    pts = mother.points * factor[None, :]
-    if mother.is_separable and op.is_real:
-        signs = factor.real[None, :]
-        return MotherConstellation(
-            pts,
-            mother.labels,
-            real_points=mother.real_points * signs,
-            imag_points=mother.imag_points * signs,
-        )
-    return MotherConstellation(pts, mother.labels)
+    return MotherConstellation(mother.points * factor[None, :], mother.labels)
 
 
 def lds_phase_signatures(graph: FactorGraph) -> tuple[LayerOperator, ...]:

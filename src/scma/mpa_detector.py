@@ -94,15 +94,16 @@ def _edges(system: ScmaSystem):
 
 def _passes(system: ScmaSystem, edges, tol: float = 0.0, split: bool = False):
     """Per MPA pass, each edge's (values, index) column from merge_values at
-    `tol`. Plain MPA has one pass, over layer j's codeword values on
-    resource k; split has two, over the real and then the imaginary half:
-    the operator's sign times the half's mother values on the edge's
-    dimension."""
+    `tol`, over layer j's codeword values on resource k. Plain MPA has one
+    pass; split has two, over the real parts of symbols p*m_v (q = 0) and
+    then the imaginary parts of symbols 0..m_v-1 (p = 0), in
+    shuffle_construct's symbol order p*m_v + q."""
+    columns = [system.codebooks[j].codewords[:, k] for k, j in edges]
     if not split:
-        return [[merge_values(system.codebooks[j].codewords[:, k], tol) for k, j in edges]]
-    at = [(j, system.codebooks[j].support.index(k)) for k, j in edges]  # layer, dimension
-    return [[merge_values(system.operators[j].phases[n].real * points[:, n], tol) for j, n in at]
-            for points in (system.mother.real_points, system.mother.imag_points)]
+        return [[merge_values(c, tol) for c in columns]]
+    m_v = len(system.mother.imag_points)
+    return [[merge_values(c[::m_v].real, tol) for c in columns],
+            [merge_values(c[:m_v].imag, tol) for c in columns]]
 
 
 def _entries(passes, res_edges) -> tuple[int, ...]:
@@ -496,8 +497,9 @@ def batch_split(
     operator phases are +-1 and the channel gains are real: the Gaussian
     metric then splits into independent real and imaginary halves, each a
     real Gaussian of variance noise_var / 2. Each half's (values, index)
-    columns are built once per call, with exact repeats merged as in
-    batch_mpa, and a slice's trials are capped by the table entries both
+    columns are read once per call off the codewords batch_mpa reads (see
+    _passes), so operator power scales count, with exact repeats merged as
+    in batch_mpa; a slice's trials are capped by the table entries both
     halves build from them, which complexity_report counts as `split`.
     """
     _check_detect_args(noise_var, max_iter, 0.0)

@@ -82,7 +82,8 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("K", "N", "J", "M", "seed", "min_errors", "max_trials", "max_iter", "workers"):
+        ints = ("K", "N", "J", "M", "seed", "min_errors", "max_trials", "max_iter", "workers")
+        for name in ints:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -121,8 +122,15 @@ class SimConfig:
             raise ValueError("max_iter must be at least 1")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
+        if self.damping and self.engine in ("split", "map_oracle"):
+            raise ValueError(f"engine {self.engine!r} runs undamped; damping must be 0")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must lie in [1, {MAX_WORKERS}]")
+        # Python numbers, so that the CSV echo reads the same for numpy inputs
+        for name in ints:
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "damping", float(self.damping))
+        object.__setattr__(self, "snr_grid_db", tuple(float(v) for v in self.snr_grid_db))
 
     def build_system(self) -> ScmaSystem:
         return build_named_system(self.design, self.K, self.N, self.J, self.M)

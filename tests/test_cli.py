@@ -180,6 +180,22 @@ def test_negative_seed_fails_before_any_point(tmp_path, capsys, monkeypatch, com
     assert not Path("x.csv").exists()
 
 
+def test_damping_on_undamped_engine_fails_before_any_point(tmp_path, capsys, monkeypatch):
+    import scma.simulator
+
+    calls = []
+    monkeypatch.setattr(scma.simulator, "run_point", lambda *a, **kw: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    main(["design", "--scheme", "4pt", "--out", "4pt.json"])
+    capsys.readouterr()
+    assert main(["simulate", "--system", "4pt.json", "--engine", "map", "--damping", "0.3",
+                 "--snr", "8", "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: engine 'map_oracle' runs undamped; damping must be 0"]
+    assert calls == []
+    assert not Path("x.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_out_naming_a_directory_fails_before_any_point(tmp_path, capsys, monkeypatch, command):
     import scma.simulator

@@ -18,6 +18,7 @@ from scma.channel_model import (
 from scma.codebook import LayerOperator, ScmaSystem, build_codebook, build_named_system
 from scma.codebook import build_system
 from scma.constellation import (
+    MotherConstellation,
     base_lattice,
     four_point_mother,
     low_projection_16point,
@@ -42,6 +43,7 @@ from scma.mpa_detector import (
     mpa_detect,
     split_detect,
 )
+from scma.system_io import load_system, save_system
 
 
 def awgn_channel(system):
@@ -947,21 +949,34 @@ def test_collapsed_equivalence_no_merge_case():
 # split detection
 
 
-def test_split_equals_joint_on_separable_system():
-    system = identity_phase_system(6)
+def test_split_equals_joint_on_separable_system(tmp_path):
+    """Split matches plain MPA on T16 J=6 with all-ones phases, with +-1
+    phases, and with +-1 phases at power scale 2 on a mother of energy 1/2
+    read back from a file: split reads the codebooks, so the scale counts."""
+    graph = build_full_graph(4, 2)
+    signs = [np.array([(-1) ** j, (-1) ** (j // 2)], dtype=complex) for j in range(6)]
+    t16, half = t16qam(), math.sqrt(0.5)
+    low = MotherConstellation(t16.points * half, t16.labels,
+                              t16.real_points * half, t16.imag_points * half)
+
+    def signed(mother, power_scale):
+        ops = tuple(LayerOperator(ph, power_scale) for ph in signs)
+        cbs = tuple(build_codebook(mother, ops[j], mapping_matrix(graph.signature(j)))
+                    for j in range(6))
+        return ScmaSystem(graph, mother, ops, cbs)
+
+    save_system(signed(low, 2.0), tmp_path / "scaled.json")
+    systems = (identity_phase_system(6), signed(t16, 1.0), load_system(tmp_path / "scaled.json"))
     rng = np.random.default_rng(8)
-    for _ in range(15):
-        tx = rng.integers(0, 16, 6)
-        cw = np.stack([system.codebooks[j].codewords[tx[j]] for j in range(6)])
-        gains = np.abs(rng.standard_normal((6, 1))) * np.ones((6, 4))
+    for system in systems:
+        tx = rng.integers(0, 16, (15, 6))
+        cw = np.stack([system.codebooks[j].codewords[tx[:, j]] for j in range(6)], axis=1)
+        gains = np.abs(rng.standard_normal((15, 6, 1))) * np.ones((15, 6, 4))
         nv = 0.2
-        noise = sample_noise(nv, 4, rng)
-        y = (gains * cw).sum(axis=0) + noise
-        ch = ChannelRealization(gains=gains.astype(complex), mode="uplink_rayleigh")
-        joint = mpa_detect(y, system, ch, nv, max_iter=6)
-        split = split_detect(y, system, ch, nv, max_iter=6)
-        tv = 0.5 * np.abs(joint.marginals - split.marginals).sum(axis=1).max()
-        assert tv <= 1e-9
+        y = (gains * cw).sum(axis=1) + sample_noise(nv, 4, rng, size=15)
+        joint = batch_mpa(y, gains, system, nv, max_iter=6)
+        split = batch_split(y, gains, system, nv, max_iter=6)
+        assert np.abs(joint - split).max() <= 1e-12
 
 
 def test_split_equals_joint_disjoint_lds():

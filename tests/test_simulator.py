@@ -91,6 +91,10 @@ def test_config_validation():
         SimConfig(**{**ok, "channel_mode": "nope"})
     with pytest.raises(ValueError):
         SimConfig(**{**ok, "damping": 1.0})
+    # split and the MAP oracle run undamped
+    for engine in ("split", "map_oracle"):
+        with pytest.raises(ValueError, match=f"engine '{engine}' runs undamped"):
+            SimConfig(**{**ok, "engine": engine, "damping": 0.3})
     # run_point keeps 2 * workers windows in flight
     assert SimConfig(**{**ok, "workers": MAX_WORKERS}).workers == MAX_WORKERS
     for workers in (0, MAX_WORKERS + 1, 10**6):
@@ -461,6 +465,15 @@ def test_csv_byte_determinism():
 def test_csv_workers_do_not_leak_into_bytes():
     a = csv_lines(run_sweep(small_config(min_errors=30, max_trials=2_048, workers=1)))
     b = csv_lines(run_sweep(small_config(min_errors=30, max_trials=2_048, workers=3)))
+    assert a == b
+
+
+def test_csv_echo_reads_python_numbers_for_numpy_inputs():
+    typed = dict(J=np.int64(2), seed=np.int64(9), min_errors=np.int32(20),
+                 damping=np.float64(0.0), snr_grid_db=[np.float64(4.0)])
+    plain = dict(J=2, seed=9, min_errors=20, damping=0.0, snr_grid_db=(4.0,))
+    a = csv_lines(run_sweep(small_config(**typed, max_trials=1_024)))
+    b = csv_lines(run_sweep(small_config(**plain, max_trials=1_024)))
     assert a == b
 
 
