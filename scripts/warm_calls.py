@@ -12,7 +12,8 @@ per call its wall time and the minor page faults it took (from
 * 4pt J=6 `mpa`, 512 AWGN trials (the `power_variation` call shape);
 * lowproj J=6 `mpa` and `mpa_collapsed`, 128 uplink trials;
 * T16 and LDS M=16 J=6 `mpa`, 128 uplink trials;
-* 4pt J=6 `map`, 128 uplink trials;
+* 4pt J=6 `map`, 128 uplink trials, and T16 J=4 `map` (M**J = 65536,
+  so 8-trial slices), 128 uplink trials;
 * lowproj J=2 `split`, 128 AWGN trials.
 
 Per row and tree it prints the median and quartiles over rounds of each
@@ -24,7 +25,7 @@ median lies within the other tree's quartiles. With two copies every
 round is a fair coin, so that check needs about 100 rounds: at 10 a row
 falls outside 40-60% about a third of the time. `--json` writes the
 per-round values and the summary. BLAS runs on one thread. Runtime: about
-two minutes for 10 rounds on a 2-core machine.
+two and a half minutes for 10 rounds on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ MATRIX = (
     ("t16-J6/mpa/uplink/128", "t16", 6, 16, "mpa", "uplink_rayleigh", 16.0, 128),
     ("lds-J6-M16/mpa/uplink/128", "lds", 6, 16, "mpa", "uplink_rayleigh", 16.0, 128),
     ("4pt-J6/map/uplink/128", "4pt", 6, 4, "map", "uplink_rayleigh", 8.0, 128),
+    ("t16-J4/map/uplink/128", "t16", 4, 16, "map", "uplink_rayleigh", 16.0, 128),
     ("lowproj-J2/split/awgn/128", "lowproj", 2, 16, "split", "awgn", 12.0, 128),
 )
 

@@ -28,6 +28,7 @@ __all__ = [
     "split_detect",
     "collapse_projections",
     "complexity_report",
+    "table_entries",
     "batch_mpa",
     "batch_map",
     "batch_split",
@@ -385,55 +386,34 @@ def batch_mpa(
     )
 
 
-def _joint_marginals(terms, combine, work, shift=False) -> np.ndarray:
-    """(J, M, T) unnormalised MAP marginals of the joint table that `combine`
-    (np.multiply over weight factors, np.add over log terms) builds from
-    `terms`, each on the J layer axes (M, or 1 where its resource lacks the
-    layer) and then trials. The table is built one slab of the first layer
-    axis at a time (the whole table when J = 1) in the buffer "joint" of
-    `work`, and each slab is summed into two small tables that keep the
-    first and the second half of the layer axes. With `shift` the slabs are
-    log weights: a first pass finds each trial's best joint hypothesis, and
-    each slab is shifted by it and exponentiated (flushed) before its sums.
+def _group_marginals(groups, marginals, work) -> np.ndarray:
+    """Fill the (J, M, T) `marginals` with the unnormalised MAP marginals
+    of the product of two groups of terms, and return it. A term is a
+    (table, layers) pair: the table on the axes of its layers, then
+    trials; an empty group's product is 1. With P_X the layers only group
+    X touches and S those both touch, a = sum over P_A of A's product and
+    b = sum over P_B of B's, held in the buffers "a" and "b" of `work`; a
+    layer in P_A gets its marginal from A's product times b, a layer in P_B
+    from B's product times a, and a layer in S from a times b. Each sum is
+    one np.einsum over the terms, which forms no product table.
     """
-    shape = np.broadcast_shapes(*(t.shape for t in terms))
-    j_count, m, t_count = len(shape) - 1, shape[0], shape[-1]
-    slabbed = int(j_count > 1)
-    half = j_count // 2
-    below = tuple(range(half - slabbed))  # the first half's axes within a slab
-    slab = work.get("joint", shape[slabbed:])
-    first = work.get("first", shape[:half] + (t_count,))
-    second = work.get("second", shape[half:])
-    partial = work.get("partial", shape[half:])
+    j_count, m, t_count = marginals.shape
+    trial = j_count  # einsum's label for the trial axis; layer j's is j
+    groups = [terms or [(np.ones(t_count), ())] for terms in groups]
+    touched = [{j for _, layers in terms for j in layers} for terms in groups]
+    shared = sorted(touched[0] & touched[1])
 
-    def slabs():
-        for i in range(m) if slabbed else [None]:
-            views = [t if i is None else t[min(i, len(t) - 1)] for t in terms]
-            if len(views) == 1:
-                np.copyto(slab, views[0])
-            else:
-                combine(views[0], views[1], out=slab)
-            for view in views[2:]:
-                combine(slab, view, out=slab)
-            yield slab
+    def contract(terms, out_layers, out):
+        args = [x for table, layers in terms for x in (table, [*layers, trial])]
+        return np.einsum(*args, [*out_layers, trial], out=out)
 
-    weights = slabs()
-    if shift:
-        top = np.full(t_count, -np.inf)
-        for ll in weights:
-            np.maximum(top, ll.max(axis=tuple(range(j_count - slabbed))), out=top)
-        weights = (_exp_flushed(np.subtract(ll, top, out=ll)) for ll in slabs())
-    for i, w in enumerate(weights):
-        if half:
-            w.sum(axis=tuple(range(half - 1, j_count - 1)), out=first[i])
-        if i == 0:
-            w.sum(axis=below, out=second)
-        else:
-            second += w.sum(axis=below, out=partial)
-    marginals = np.empty((j_count, m, t_count))
-    for part, layers in ((first, range(half)), (second, range(half, j_count))):
-        for i, j in enumerate(layers):
-            marginals[j] = part.sum(axis=tuple(a for a in range(len(layers)) if a != i))
+    a, b = (contract(terms, shared, work.get(name, (m,) * len(shared) + (t_count,)))
+            for terms, name in zip(groups, "ab"))
+    for terms, other, layers in zip(groups, (b, a), touched):
+        for j in sorted(layers.difference(shared)):
+            contract(terms + [(other, shared)], [j], marginals[j])
+    for j in shared:
+        contract([(a, shared), (b, shared)], [j], marginals[j])
     return marginals
 
 
@@ -444,40 +424,65 @@ def batch_map(
 
     The likelihood factorises over resources: resource k's factor is the
     exp of its MPA log table from _resource_tables, over every symbol's
-    value on k's edges, laid on the axes of the layers at k and flushed
-    below LOG_TINY / K, so that a product of the K factors is 0 or a normal
-    float; _joint_marginals multiplies them one slab at a time. A trial
-    whose weights sum below M**J * exp(cut) * 2**60 may have lost mass to
-    flushed factors, so it is recomputed from the log terms; a lone such
-    trial runs as two copies, as in _trial_slices, which caps a trial's
-    joint table at MAX_JOINT_HYPOTHESES entries and a slice's at
-    MAX_SLICE_ENTRIES, or one trial's.
+    value on k's edges, flushed below LOG_TINY / K, so that a product of
+    the K factors is 0 or a normal float. The resources with edges split
+    into two halves, A and B, and _group_marginals contracts A's factors
+    with B's, so the M**J joint table is never built. A trial whose weights
+    sum below M**J * exp(cut) * 2**60 may have lost mass to flushed
+    factors, so it is recomputed from the log terms: each half's log table
+    is shifted by its best over the layers only it touches, at each point
+    of the shared layers S, and exponentiated (flushed), and
+    exp(best_A + best_B - top), top being the trial's best joint
+    hypothesis, joins B's terms over S, so that this hypothesis weighs
+    exactly 1. A lone such trial runs as two copies, as in _trial_slices,
+    which caps a trial at MAX_JOINT_HYPOTHESES joint hypotheses and a slice
+    at MAX_SLICE_ENTRIES, or one trial's.
     """
     _check_detect_args(noise_var, 1, 0.0)
     m, j_count = system.alphabet_size, system.n_layers
     edges, res_edges, _ = _edges(system)
-    # each resource's table on its layers' axes, which _edges lists ascending
-    shapes = [[m if j in system.graph.layers_at(k) else 1 for j in range(j_count)]
-              for k in range(system.n_resources)]
-    cut = max(EXP_FLUSH_ARG, math.ceil(LOG_TINY / sum(map(bool, res_edges))))
+    active = [k for k, es in enumerate(res_edges) if es]
+    halves = active[: len(active) // 2], active[len(active) // 2 :]
+    layers_at = [system.graph.layers_at(k) for k in range(system.n_resources)]
+    touched = [sorted({j for k in half for j in layers_at[k]}) for half in halves]
+    shared = sorted(set(touched[0]) & set(touched[1]))
+    cut = max(EXP_FLUSH_ARG, math.ceil(LOG_TINY / len(active)))
     floor = m**j_count * math.exp(cut) * 2.0**60
 
     def log_terms(y, gains, work):
         edge_values = [system.codebooks[j].codewords[:, k, None] * gains[:, j, k]
                        for k, j in edges]
-        tables = _resource_tables(y, edge_values, res_edges, noise_var, work)
-        return [t.reshape(shape + [y.shape[1]])
-                for shape, t in zip(shapes, tables) if t is not None]
+        return list(_resource_tables(y, edge_values, res_edges, noise_var, work))
+
+    def exact(terms):
+        # each half's shifted weights on all J layer axes (M, or 1 where
+        # the half lacks the layer), then the weight of the points of S
+        t_count = terms[active[0]].shape[-1]
+        tables, bests = [], []
+        for half, layers in zip(halves, touched):
+            shape = [[m if j in layers_at[k] else 1 for j in range(j_count)] + [t_count]
+                     for k in half]
+            table = sum((terms[k].reshape(sh) for k, sh in zip(half, shape)), np.zeros(t_count))
+            private = tuple(j for j in layers if j not in shared)
+            bests.append(table.max(axis=private, keepdims=True))
+            tables.append(_exp_flushed(table - bests[-1]).reshape((m,) * len(layers) + (-1,)))
+        weight = bests[0] + bests[1]
+        weight = _exp_flushed(weight - weight.max(axis=tuple(range(j_count)), keepdims=True))
+        groups = [[(table, layers)] for table, layers in zip(tables, touched)]
+        groups[1].append((weight.reshape((m,) * len(shared) + (-1,)), shared))
+        return groups
 
     def body(y, gains, work):
-        factors = [_exp_flushed(t, cut) for t in log_terms(y, gains, work)]
-        marginals = _joint_marginals(factors, np.multiply, work)
+        factors = [t if t is None else _exp_flushed(t, cut).reshape((m,) * len(at) + (-1,))
+                   for t, at in zip(log_terms(y, gains, work), layers_at)]
+        groups = [[(factors[k], layers_at[k]) for k in half] for half in halves]
+        marginals = _group_marginals(groups, np.empty((j_count, m, y.shape[1])), work)
         redo = np.flatnonzero(marginals[0].sum(axis=0) < floor)
         if len(redo):
             run = redo[[0, 0]] if len(redo) == 1 < y.shape[1] else redo  # a lone trial twice
-            exact = _joint_marginals(log_terms(y[:, run], gains[run], work), np.add, work,
-                                     shift=True)
-            marginals[..., redo] = exact[..., : len(redo)]
+            groups = exact(log_terms(y[:, run], gains[run], work))
+            redone = _group_marginals(groups, np.empty((j_count, m, len(run))), work)
+            marginals[..., redo] = redone[..., : len(redo)]
         return marginals
 
     marginals = _trial_slices(body, y, gains, system, [m**j_count])
@@ -602,11 +607,18 @@ def collapse_projections(system: ScmaSystem) -> dict:
 def complexity_report(system: ScmaSystem) -> ComplexityReport:
     """Hypothesis counts per resource of every MPA engine (see
     ComplexityReport); collapsed merges within PROJECTION_MERGE_TOL."""
-    edges, res_edges, _ = _edges(system)
     degrees = tuple(int(d) for d in system.graph.degrees)
     plain = tuple(system.alphabet_size**d for d in degrees)
-    mpa = _entries(_passes(system, edges), res_edges)
-    collapsed = _entries(_passes(system, edges, PROJECTION_MERGE_TOL), res_edges)
-    split = (_entries(_passes(system, edges, split=True), res_edges)
-             if system.is_separable else None)
-    return ComplexityReport(degrees, plain, mpa, collapsed, split)
+    collapsed = table_entries(system, collapse_projections(system))
+    split = table_entries(system, split=True) if system.is_separable else None
+    return ComplexityReport(degrees, plain, table_entries(system), collapsed, split)
+
+
+def table_entries(system: ScmaSystem, tables: dict | None = None,
+                  split: bool = False) -> tuple[int, ...]:
+    """Per resource, the table entries one trial of batch_mpa builds (on
+    `tables`, as batch_mpa takes them), or with `split` of batch_split."""
+    edges, res_edges, _ = _edges(system)
+    passes = ([[tables[e] for e in edges]] if tables is not None
+              else _passes(system, edges, split=split))
+    return _entries(passes, res_edges)

@@ -33,9 +33,7 @@ from .channel_model import (
     superpose,
 )
 from .codebook import ScmaSystem, build_named_system
-from .mpa_detector import (
-    batch_map, batch_mpa, batch_split, collapse_projections, complexity_report,
-)
+from .mpa_detector import batch_map, batch_mpa, batch_split, collapse_projections, table_entries
 
 __all__ = [
     "BLOCK_TRIALS",
@@ -171,18 +169,18 @@ def wilson_halfwidth(errors: int, trials: int, z: float = WILSON_Z) -> float:
 
 def _detector(system: ScmaSystem, config: SimConfig):
     """The engine's window call detect(y, gains, noise_var) and the table
-    entries it builds per trial, as complexity_report counts them (M**J for
+    entries it builds per trial, as table_entries counts them (M**J for
     map_oracle). detect looks the batch engine up in this module when it
     runs, so a wrapper put over it after import sees every call."""
     it, damping = config.max_iter, config.damping
     if config.engine == "map_oracle":
         return (lambda y, g, nv: batch_map(y, g, system, nv)), system.alphabet_size**system.n_layers
-    report = complexity_report(system)
     if config.engine == "split":
-        return (lambda y, g, nv: batch_split(y, g, system, nv, it)), sum(report.split)
+        return ((lambda y, g, nv: batch_split(y, g, system, nv, it)),
+                sum(table_entries(system, split=True)))
     tables = collapse_projections(system) if config.engine == "mpa_collapsed" else None
-    counts = report.mpa if tables is None else report.collapsed
-    return (lambda y, g, nv: batch_mpa(y, g, system, nv, it, damping, tables)), sum(counts)
+    return ((lambda y, g, nv: batch_mpa(y, g, system, nv, it, damping, tables)),
+            sum(table_entries(system, tables)))
 
 
 def _run_block(system, config, noise_var, point_index, blocks, consts):

@@ -381,24 +381,37 @@ def test_engines_finite_when_the_shifted_ratio_overflows():
 
 def test_map_weights_are_zero_or_normal(monkeypatch):
     # each resource's factor is flushed below LOG_TINY / K, so that every
-    # product of the K factors, and so every joint weight, is an exact 0 or
-    # a normal float; at 20 dB many factors are flushed
-    joint = mpa_detector._joint_marginals
-    factors = []
+    # product the two-group contraction forms is an exact 0 or a normal
+    # float: each group's product of factors, its sum over its private
+    # layers, that product times the other group's sum, and the two sums'
+    # product; at 20 dB many of them are flushed
+    contract = mpa_detector._group_marginals
+    recorded = []
 
-    def recording(terms, combine, work, shift=False):
-        if combine is np.multiply:
-            factors.append([t.copy() for t in terms])
-        return joint(terms, combine, work, shift)
+    def recording(groups, marginals, work):
+        recorded.append([[(t.copy(), layers) for t, layers in terms] for terms in groups])
+        return contract(groups, marginals, work)
 
-    monkeypatch.setattr(mpa_detector, "_joint_marginals", recording)
+    monkeypatch.setattr(mpa_detector, "_group_marginals", recording)
     system = build_named_system("4pt", 4, 2, 6, 4)
     y, gains, nv = random_batch(system, 20.0, np.random.default_rng(61), "uplink_rayleigh", 16)
     batch_map(y, gains, system, nv)
-    (terms,) = factors
-    weights = math.prod(terms)
-    assert (weights == 0).mean() > 0.1
-    assert ((weights == 0) | (weights >= np.finfo(np.float64).tiny)).all()
+    ((terms_a, terms_b),) = recorded
+
+    def product(terms, out):
+        # the terms' product over the layers `out`, then trials (label 6)
+        args = [x for t, layers in terms for x in (t, [*layers, 6])]
+        return np.einsum(*args, [*out, 6])
+
+    # resources 0-1 and 2-3 share layers 1-4; 0 is private to the first, 5
+    # to the second
+    w_a, w_b = product(terms_a, range(5)), product(terms_b, range(1, 6))
+    a, b = w_a.sum(axis=0), w_b.sum(axis=-2)
+    w_a_b, w_b_a = w_a * b, w_b * a[..., None, :]
+    for weights in (w_a, w_b, a, b, w_a_b, w_b_a, a * b):
+        assert ((weights == 0) | (weights >= np.finfo(np.float64).tiny)).all()
+    for weights in (w_a, w_b, w_a_b, w_b_a):
+        assert (weights == 0).mean() > 0.1
 
 
 def test_likelihood_tables_hold_no_subnormals(monkeypatch):
@@ -714,45 +727,70 @@ def test_trial_slices_stay_within_the_entry_cap(monkeypatch, scheme, n_layers, e
     assert np.array_equal(whole, np.concatenate(parts))
 
 
-def map_case(scheme, n_layers, m, mode, size, snr_db=8.0):
-    """A MAP_SYSTEMS row; its id names the SNR only when it is not 8 dB."""
+def map_case(scheme, n_layers, m, mode, size, snr_db=8.0, mismatch=1.0):
+    """A MAP_SYSTEMS row; its id names the SNR only when it is not 8 dB, and
+    the factor on the noise variance the detector is told only when it is
+    not 1."""
     tail = "" if snr_db == 8.0 else f"-{snr_db:g}dB"
+    tail += "" if mismatch == 1.0 else f"-nv{mismatch:g}"
     return pytest.param(
-        scheme, n_layers, m, mode, size, snr_db,
+        scheme, n_layers, m, mode, size, snr_db, mismatch,
         id=f"{scheme}-{n_layers}-{m}-{mode}-{size}{tail}",
     )
 
 
 MAP_SYSTEMS = [
+    # resources {0, 1} and {2, 3} share layers 1-4; layer 0 is private to
+    # the first group and layer 5 to the second
     map_case("4pt", 6, 4, "awgn", 32),
     map_case("4pt", 6, 4, "uplink_rayleigh", 32),
+    # the groups share no layer
     map_case("t16", 2, 16, "uplink_rayleigh", 32),
     # 65536 hypotheses: 8 trials per slice, so 64 trials take eight slices
     map_case("t16", 4, 16, "uplink_rayleigh", 64),
-    # odd J: the marginal sums keep one layer axis and then two
+    # mixed degrees (2, 1, 2, 1): the groups share layer 1 only
     map_case("4pt", 3, 4, "uplink_rayleigh", 32),
-    # J = 1: the first half of the layer axes is empty
+    # mixed degrees (3, 2, 2, 3): the groups share layers 1-3
+    map_case("4pt", 5, 4, "uplink_rayleigh", 32),
+    # J = 1: the one layer is shared, and neither group has a private layer
     map_case("t16", 1, 16, "uplink_rayleigh", 32),
+    # the groups share no layer, so each sums to one number per trial
+    map_case("lowproj", 2, 16, "uplink_rayleigh", 32),
     # most shifted log-likelihoods fall below EXP_FLUSH_ARG
     map_case("4pt", 6, 4, "uplink_rayleigh", 32, 20.0),
+    # told 1/100 of the noise variance, trials take the log-domain recompute
+    map_case("4pt", 3, 4, "uplink_rayleigh", 32, mismatch=1e-2),
+    map_case("4pt", 5, 4, "uplink_rayleigh", 32, mismatch=1e-2),
+    map_case("lowproj", 2, 16, "uplink_rayleigh", 32, mismatch=1e-2),
 ]
 
 
-@pytest.mark.parametrize("scheme,n_layers,m,mode,size,snr_db", MAP_SYSTEMS)
-def test_batch_map_matches_reference_oracle(scheme, n_layers, m, mode, size, snr_db):
+@pytest.mark.parametrize("scheme,n_layers,m,mode,size,snr_db,mismatch", MAP_SYSTEMS)
+def test_batch_map_matches_reference_oracle(monkeypatch, scheme, n_layers, m, mode, size,
+                                            snr_db, mismatch):
+    contract = mpa_detector._group_marginals
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(mpa_detector, "_group_marginals", recording)
     system = build_named_system(scheme, 4, 2, n_layers, m)
     rng = np.random.default_rng(50)
     y, gains, nv = random_batch(system, snr_db, rng, mode, size)
-    got = batch_map(y, gains, system, nv)
-    want = reference_map(y, gains, system, nv)
+    got = batch_map(y, gains, system, nv * mismatch)
+    want = reference_map(y, gains, system, nv * mismatch)
     assert np.abs(got - want).max() <= 1e-12
+    # each case is one slice: a second contraction is the log-domain recompute
+    assert len(calls) > 1 or mismatch == 1.0
 
 
 @pytest.mark.parametrize("n_res,n_layers", [(2, 1), (4, 4)])
 def test_batch_map_on_one_layer_per_resource(n_res, n_layers):
-    # N = 1: every resource carries at most one layer, so a slab is the
-    # product of one-axis factors, and with a single active resource the
-    # joint table is that resource's factor alone
+    # N = 1: every resource carries at most one layer, so the two groups
+    # share no layer, and with a single active resource the first group is
+    # empty and the second's table is that resource's factor alone
     system = build_named_system("lds", n_res, 1, n_layers, 4)
     y, gains, nv = random_batch(system, 8.0, np.random.default_rng(51), "uplink_rayleigh", 16)
     got = batch_map(y, gains, system, nv)
@@ -770,26 +808,25 @@ def test_map_fallback_trials_keep_their_bits_at_any_call_size(monkeypatch):
     y_b, g_b, _ = random_batch(system, -13.0, rng, "uplink_rayleigh", 20)
     order = rng.permutation(40)
     y, gains = np.concatenate([y_a, y_b])[order], np.concatenate([g_a, g_b])[order]
-    joint = mpa_detector._joint_marginals
-    redone = []
+    contract = mpa_detector._group_marginals
+    calls = []  # per contraction, its trials: a slice's, then its recomputed ones
 
-    def recording(terms, combine, work, shift=False):
-        if shift:
-            redone.append(terms[0].shape[-1])
-        return joint(terms, combine, work, shift)
+    def recording(groups, marginals, work):
+        calls.append(marginals.shape[-1])
+        return contract(groups, marginals, work)
 
-    monkeypatch.setattr(mpa_detector, "_joint_marginals", recording)
+    monkeypatch.setattr(mpa_detector, "_group_marginals", recording)
     whole = batch_map(y, gains, system, nv)
-    assert len(redone) == 1 and 10 <= redone[0] < 20
+    assert calls[0] == 40 and len(calls) == 2 and 10 <= calls[1] < 20
     assert np.abs(whole - reference_map(y, gains, system, nv)).max() <= 1e-12
     for size in (1, 2, 17):
-        redone.clear()
+        calls.clear()
         cuts = range(size, len(y), size)
         parts = [batch_map(y_c, g_c, system, nv)
                  for y_c, g_c in zip(np.split(y, cuts), np.split(gains, cuts))]
         assert np.array_equal(whole, np.concatenate(parts))
         if size == 1:
-            assert set(redone) == {2}
+            assert set(calls) == {2} and len(calls) > 40
 
 
 def random_tree_graph(rng, n_resources, n_active, n_layers):
@@ -1160,7 +1197,7 @@ def test_batch_split_matches_single_shot():
 
 def test_batch_engines_reject_tables_over_the_cap(monkeypatch):
     # the check counts one trial's entries over every resource table, as
-    # complexity_report does (map: its M**J joint table); the identity-phase
+    # complexity_report does (map: its M**J joint hypotheses); the identity-phase
     # T16 and lowproj systems are separable, so split detection runs on
     # them, and plain mpa builds the exact lowproj projections
     for system in (identity_phase_system(), identity_phase_system(6, low_projection_16point())):
@@ -1177,7 +1214,7 @@ def test_batch_engines_reject_tables_over_the_cap(monkeypatch):
             monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", sum(counts) - 1)
             with pytest.raises(ValueError, match="likelihood tables hold"):
                 run()
-    # map's joint table: 16**4 = 65536 entries on the four-layer T16 system
+    # map's joint hypotheses: 16**4 = 65536 on the four-layer T16 system
     system = identity_phase_system(4)
     y, gains, nv = random_batch(system, 8.0, np.random.default_rng(91), "awgn", 3)
     monkeypatch.setattr(mpa_detector, "MAX_JOINT_HYPOTHESES", 16**4)
@@ -1292,10 +1329,11 @@ def test_warm_calls_reuse_the_workspace(engine, scheme, mode, trials):
     assert max(warm) < cold / 2
 
 
-def test_map_workspace_holds_one_slab():
-    # the joint weights of a 128-trial 4pt J=6 slice (4 MB in all) are built
-    # one slab of the first layer axis at a time, so the workspace of a
-    # thread that has run warm map calls holds one 1 MB slab, not the table
+def test_map_workspace_holds_the_group_sums():
+    # a 128-trial 4pt J=6 slice never forms its joint weights (4 MB) nor a
+    # group's product (1 MB): the workspace of a thread that has run warm
+    # map calls holds the likelihood tables and the two groups' 256 KB sums
+    # over their private layers
     system = build_named_system("4pt", 4, 2, 6, 4)
     y, gains, nv = random_batch(system, 8.0, np.random.default_rng(90), "uplink_rayleigh", 128)
 
@@ -1305,7 +1343,7 @@ def test_map_workspace_holds_one_slab():
         with mpa_detector._workspace() as work:
             return sum(buf.nbytes for buf in work.buffers.values())
 
-    assert 4**5 * 128 * 8 <= in_fresh_thread(held) < 2 * 10**6
+    assert 2 * 4**4 * 128 * 8 <= in_fresh_thread(held) < 2 * 10**6
 
 
 def test_engines_on_two_threads_give_the_serial_bits():
